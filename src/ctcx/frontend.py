@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +220,18 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     return AudioClip(out, target_hz)
 
 
+def wav_features(path, cfg: FeatureConfig) -> tuple[np.ndarray, bool]:
+    """Raw (unnormalized) MFCC values of a WAV file, and whether it was resampled.
+
+    Clips at another rate are resampled to ``cfg.sample_rate_hz`` first.
+    """
+    clip = load_wav(path)
+    resampled = clip.sample_rate_hz != cfg.sample_rate_hz
+    if resampled:
+        clip = resample(clip, cfg.sample_rate_hz)
+    return mfcc(clip, cfg).values, resampled
+
+
 # ---------------------------------------------------------------------------
 # MFCC
 # ---------------------------------------------------------------------------
@@ -353,26 +365,32 @@ class ManifestRow:
     text: str
     duration_s: float | None = None
 
-    def with_text(self, text: str) -> "ManifestRow":
-        return replace(self, text=text)
-
 
 def read_manifest(path) -> list[ManifestRow]:
-    """Read a JSON Lines manifest: {"audio", "text", "duration_s"} per line."""
+    """Read a JSON Lines manifest: {"audio", "text", "duration_s"} per line.
+
+    Any malformed line raises ValueError naming ``path:line``.
+    """
     rows = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{where}: not JSON: {e}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: manifest row is not a JSON object")
         if "audio" not in obj or "text" not in obj:
-            raise ValueError(f"{path}:{lineno}: manifest row needs 'audio' and 'text'")
-        rows.append(
-            ManifestRow(
-                audio=str(obj["audio"]),
-                text=str(obj["text"]),
-                duration_s=float(obj["duration_s"]) if "duration_s" in obj and obj["duration_s"] is not None else None,
-            )
-        )
+            raise ValueError(f"{where}: manifest row needs 'audio' and 'text'")
+        duration = obj.get("duration_s")
+        if duration is not None:
+            try:
+                duration = float(duration)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: duration_s {duration!r} is not a number") from None
+        rows.append(ManifestRow(str(obj["audio"]), str(obj["text"]), duration))
     return rows
 
 
@@ -386,12 +404,17 @@ def write_manifest(rows, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def within_max_duration(seconds: float) -> bool:
+    """The 15 s rule: longer utterances are dropped, 15.0 itself is kept."""
+    return seconds <= MAX_UTTERANCE_SECONDS
+
+
 def duration_filter(rows) -> list[ManifestRow]:
     """Drop rows longer than 15 seconds; order preserved, 15.0 itself kept."""
     kept = []
     for r in rows:
         if r.duration_s is None:
             raise ValueError(f"manifest row {r.audio!r} has no duration_s")
-        if r.duration_s <= MAX_UTTERANCE_SECONDS:
+        if within_max_duration(r.duration_s):
             kept.append(r)
     return kept

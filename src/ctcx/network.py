@@ -4,38 +4,21 @@ Gate blocks in every 4H-sized tensor are ordered [input, forget, cell
 candidate, output]. The same ordering is used in checkpoints, so weight
 transfer between models is well defined. All math is float64; parameter
 values are kept on the float32 grid so checkpoints round-trip bit-exactly.
+
+Parameter layout: all of a model's tensors live in one contiguous float64
+vector, back to back in ``tensor_spec`` order, and each name maps to a
+writable view of its slice. The recurrent ``layer*`` tensors form a prefix
+of the vector and the dense head (``dense.w``, ``dense.b``) comes last, so
+gradient sums, clipping and optimizer steps are single vector operations,
+a checkpoint payload is the vector cast to float32, and transfer is a copy
+over the recurrent prefix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class LstmLayerParams:
-    """One direction of one layer: w_input (4H x D), w_recurrent (4H x H), bias (4H)."""
-
-    w_input: np.ndarray
-    w_recurrent: np.ndarray
-    bias: np.ndarray
-
-    @property
-    def hidden(self) -> int:
-        return self.w_recurrent.shape[1]
-
-
-@dataclass
-class LayerParams:
-    fwd: LstmLayerParams
-    bwd: LstmLayerParams | None = None
-
-
-@dataclass
-class ModelParams:
-    layers: list[LayerParams]
-    dense_w: np.ndarray  # (C, R)
-    dense_b: np.ndarray  # (C,)
 
 
 @dataclass(frozen=True)
@@ -85,60 +68,59 @@ def tensor_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return spec
 
 
+def tensor_views(spec, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """Split a flat array into the tensors of ``spec``, back to back, as views."""
+    sizes = [math.prod(shape) for _, shape in spec]
+    if flat.shape != (sum(sizes),):
+        raise ValueError(f"flat array of shape {flat.shape} does not hold {sum(sizes)} values")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [(name, part.reshape(shape)) for (name, shape), part in zip(spec, parts)]
+
+
+@dataclass
+class ModelParams:
+    """Every tensor of a model as a named view into one float64 vector."""
+
+    spec: list[tuple[str, tuple[int, ...]]]
+    vector: np.ndarray
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.tensors = dict(tensor_views(self.spec, self.vector))
+
+    @property
+    def dense_w(self) -> np.ndarray:  # (C, R)
+        return self.tensors["dense.w"]
+
+    @property
+    def dense_b(self) -> np.ndarray:  # (C,)
+        return self.tensors["dense.b"]
+
+    def direction(self, layer_index: int, direction: str) -> tuple[np.ndarray, ...]:
+        """(w_input 4H x D, w_recurrent 4H x H, bias 4H) of one direction of one layer."""
+        prefix = f"layer{layer_index + 1}.{direction}"
+        kinds = ("w_input", "w_recurrent", "bias")
+        return tuple(self.tensors[f"{prefix}.{kind}"] for kind in kinds)
+
+
 def named_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Tensors in canonical checkpoint order; arrays are the live objects."""
-    out = []
-    for li, layer in enumerate(params.layers):
-        pairs = [("fwd", layer.fwd)]
-        if layer.bwd is not None:
-            pairs.append(("bwd", layer.bwd))
-        for direction, lp in pairs:
-            prefix = f"layer{li + 1}.{direction}"
-            out.append((f"{prefix}.w_input", lp.w_input))
-            out.append((f"{prefix}.w_recurrent", lp.w_recurrent))
-            out.append((f"{prefix}.bias", lp.bias))
-    out.append(("dense.w", params.dense_w))
-    out.append(("dense.b", params.dense_b))
-    return out
+    """Tensors in canonical checkpoint order; arrays are live views."""
+    return list(params.tensors.items())
 
 
 def validate_params(params: ModelParams, cfg: ModelConfig) -> None:
-    spec = dict(tensor_spec(cfg))
-    seen = dict(named_tensors(params))
-    if set(spec) != set(seen):
-        missing = set(spec) ^ set(seen)
-        raise ValueError(f"params/config tensor mismatch: {sorted(missing)}")
-    for name, shape in spec.items():
-        if seen[name].shape != shape:
-            raise ValueError(
-                f"tensor {name} has shape {seen[name].shape}, config requires {shape}"
-            )
+    spec = tensor_spec(cfg)
+    if params.spec != spec:
+        drift = sorted(set(params.spec) ^ set(spec))
+        raise ValueError(f"params/config tensor mismatch: {drift}")
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    def zl(lp: LstmLayerParams) -> LstmLayerParams:
-        return LstmLayerParams(
-            np.zeros_like(lp.w_input),
-            np.zeros_like(lp.w_recurrent),
-            np.zeros_like(lp.bias),
-        )
-
-    layers = [
-        LayerParams(zl(layer.fwd), zl(layer.bwd) if layer.bwd is not None else None)
-        for layer in params.layers
-    ]
-    return ModelParams(layers, np.zeros_like(params.dense_w), np.zeros_like(params.dense_b))
+    return ModelParams(params.spec, np.zeros_like(params.vector))
 
 
 def copy_params(params: ModelParams) -> ModelParams:
-    def cp(lp: LstmLayerParams) -> LstmLayerParams:
-        return LstmLayerParams(lp.w_input.copy(), lp.w_recurrent.copy(), lp.bias.copy())
-
-    layers = [
-        LayerParams(cp(layer.fwd), cp(layer.bwd) if layer.bwd is not None else None)
-        for layer in params.layers
-    ]
-    return ModelParams(layers, params.dense_w.copy(), params.dense_b.copy())
+    return ModelParams(params.spec, params.vector.copy())
 
 
 def _f32_grid(a: np.ndarray) -> np.ndarray:
@@ -147,32 +129,22 @@ def _f32_grid(a: np.ndarray) -> np.ndarray:
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
-    """Glorot-uniform weights, zero biases except forget gate bias of 1."""
+    """Glorot-uniform weights, zero biases except forget gate bias of 1.
+
+    Tensors are drawn in ``tensor_spec`` order from one generator seeded by
+    ``cfg.seed``.
+    """
     rng = np.random.default_rng(cfg.seed)
     h = cfg.hidden
-
-    def glorot(shape, fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return _f32_grid(rng.uniform(-limit, limit, size=shape))
-
-    def make_direction(d):
-        w_input = glorot((4 * h, d), d, 4 * h)
-        w_recurrent = glorot((4 * h, h), h, 4 * h)
-        bias = np.zeros(4 * h)
-        bias[h : 2 * h] = 1.0  # forget gate
-        return LstmLayerParams(w_input, w_recurrent, bias)
-
-    layers = []
-    for li in range(cfg.num_layers):
-        d = cfg.layer_input_dim(li)
-        fwd = make_direction(d)
-        bwd = make_direction(d) if cfg.bidirectional else None
-        layers.append(LayerParams(fwd, bwd))
-
-    r = cfg.layer_output_dim
-    dense_w = glorot((cfg.num_classes, r), r, cfg.num_classes)
-    dense_b = np.zeros(cfg.num_classes)
-    return ModelParams(layers, dense_w, dense_b)
+    spec = tensor_spec(cfg)
+    params = ModelParams(spec, np.zeros(sum(math.prod(shape) for _, shape in spec)))
+    for name, view in params.tensors.items():
+        if view.ndim == 2:  # (fan_out, fan_in)
+            limit = np.sqrt(6.0 / (view.shape[1] + view.shape[0]))
+            view[...] = _f32_grid(rng.uniform(-limit, limit, size=view.shape))
+        elif name.endswith(".bias"):
+            view[h : 2 * h] = 1.0  # forget gate
+    return params
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -198,10 +170,13 @@ class _DirectionCache:
     h: np.ndarray
 
 
-def _direction_forward(lp: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, _DirectionCache]:
+def _direction_forward(
+    lp: tuple[np.ndarray, ...], x: np.ndarray
+) -> tuple[np.ndarray, _DirectionCache]:
+    w_input, w_recurrent, bias = lp
     t_len = x.shape[0]
-    h_dim = lp.hidden
-    z_in = x @ lp.w_input.T + lp.bias  # (T, 4H)
+    h_dim = w_recurrent.shape[1]
+    z_in = x @ w_input.T + bias  # (T, 4H)
 
     i = np.empty((t_len, h_dim))
     f = np.empty((t_len, h_dim))
@@ -213,7 +188,7 @@ def _direction_forward(lp: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, 
 
     h_prev = np.zeros(h_dim)
     c_prev = np.zeros(h_dim)
-    w_rec_t = lp.w_recurrent.T
+    w_rec_t = w_recurrent.T
     for t in range(t_len):
         z = z_in[t] + h_prev @ w_rec_t
         i[t] = _sigmoid(z[:h_dim])
@@ -230,13 +205,17 @@ def _direction_forward(lp: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _direction_backward(
-    lp: LstmLayerParams, cache: _DirectionCache, dh_out: np.ndarray
-) -> tuple[np.ndarray, LstmLayerParams]:
+    lp: tuple[np.ndarray, ...],
+    grad: tuple[np.ndarray, ...],
+    cache: _DirectionCache,
+    dh_out: np.ndarray,
+) -> np.ndarray:
+    """Writes the direction's gradients into ``grad``; returns the input gradient."""
+    w_input, w_rec, _ = lp
     t_len, h_dim = dh_out.shape
     dz = np.empty((t_len, 4 * h_dim))
     dh_next = np.zeros(h_dim)
     dc_next = np.zeros(h_dim)
-    w_rec = lp.w_recurrent
 
     i, f, g, o = cache.i, cache.f, cache.g, cache.o
     tanh_c = cache.tanh_c
@@ -257,13 +236,11 @@ def _direction_backward(
         dc_next = dc * f[t]
 
     h_prev = np.vstack([np.zeros((1, h_dim)), cache.h[:-1]])
-    grads = LstmLayerParams(
-        w_input=dz.T @ cache.x,
-        w_recurrent=dz.T @ h_prev,
-        bias=dz.sum(axis=0),
-    )
-    dx = dz @ lp.w_input
-    return dx, grads
+    g_input, g_recurrent, g_bias = grad
+    g_input[...] = dz.T @ cache.x
+    g_recurrent[...] = dz.T @ h_prev
+    g_bias[...] = dz.sum(axis=0)
+    return dz @ w_input
 
 
 @dataclass
@@ -296,16 +273,14 @@ def _stack_forward(
     cache = ForwardCache(cfg, train_mode, [], [], [])
     x = np.asarray(features, dtype=np.float64)
     outputs = []
-    for layer in params.layers:
+    for li in range(cfg.num_layers):
         cache.layer_inputs.append(x)
-        h_fwd, c_fwd = _direction_forward(layer.fwd, x)
-        if layer.bwd is not None:
-            h_bwd_rev, c_bwd = _direction_forward(layer.bwd, x[::-1])
-            out = np.hstack([h_fwd, h_bwd_rev[::-1]])
-            cache.dir_caches.append((c_fwd, c_bwd))
-        else:
-            out = h_fwd
-            cache.dir_caches.append((c_fwd, None))
+        out, c_fwd = _direction_forward(params.direction(li, "fwd"), x)
+        c_bwd = None
+        if cfg.bidirectional:
+            h_bwd_rev, c_bwd = _direction_forward(params.direction(li, "bwd"), x[::-1])
+            out = np.hstack([out, h_bwd_rev[::-1]])
+        cache.dir_caches.append((c_fwd, c_bwd))
         if train_mode and cfg.dropout_keep < 1.0:
             mask = (rng.random(out.shape) < cfg.dropout_keep) / cfg.dropout_keep
             out = out * mask
@@ -350,7 +325,7 @@ def backward(
 ) -> ModelParams:
     """Exact gradients for the loss whose logit gradient is ``dlogits``.
 
-    Returns a ModelParams-shaped container of gradient arrays.
+    Returns a zeroed ModelParams with every gradient written into its view.
     """
     if cache.cfg != cfg:
         raise ValueError("cache was produced under a different model config")
@@ -359,22 +334,22 @@ def backward(
 
     h = cfg.hidden
     grads = zeros_like_params(params)
-    grads.dense_w = dlogits.T @ cache.final_hidden
-    grads.dense_b = dlogits.sum(axis=0)
+    grads.dense_w[...] = dlogits.T @ cache.final_hidden
+    grads.dense_b[...] = dlogits.sum(axis=0)
 
     dx = dlogits @ params.dense_w
-    for li in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[li]
+    for li in range(cfg.num_layers - 1, -1, -1):
         mask = cache.masks[li]
         if mask is not None:
             dx = dx * mask
         c_fwd, c_bwd = cache.dir_caches[li]
-        if layer.bwd is not None:
-            dx_f, g_f = _direction_backward(layer.fwd, c_fwd, dx[:, :h])
-            dx_b_rev, g_b = _direction_backward(layer.bwd, c_bwd, dx[:, h:][::-1])
-            dx = dx_f + dx_b_rev[::-1]
-            grads.layers[li] = LayerParams(g_f, g_b)
-        else:
-            dx, g_f = _direction_backward(layer.fwd, c_fwd, dx)
-            grads.layers[li] = LayerParams(g_f, None)
+        dx_f = _direction_backward(
+            params.direction(li, "fwd"), grads.direction(li, "fwd"), c_fwd, dx[:, :h]
+        )
+        if cfg.bidirectional:
+            dx_b_rev = _direction_backward(
+                params.direction(li, "bwd"), grads.direction(li, "bwd"), c_bwd, dx[:, h:][::-1]
+            )
+            dx_f = dx_f + dx_b_rev[::-1]
+        dx = dx_f
     return grads

@@ -49,11 +49,6 @@ def symbol_prototype(ch: str, feature_dim: int = 13, proto_seed: int = 0) -> np.
     return rng.standard_normal(feature_dim)
 
 
-def symbol_prototypes(alphabet: Alphabet, cfg: SynthConfig | None = None) -> dict[str, np.ndarray]:
-    cfg = cfg or SynthConfig()
-    return {ch: symbol_prototype(ch, cfg.feature_dim, cfg.proto_seed) for ch in alphabet.symbols}
-
-
 def random_transcript(alphabet: Alphabet, rng: np.random.Generator, cfg: SynthConfig | None = None) -> str:
     """Space-separated words of letters drawn uniformly from the alphabet."""
     cfg = cfg or SynthConfig()

@@ -15,8 +15,8 @@ import numpy as np
 
 from .ctc import (
     beam_search_decode,
+    corpus_ler,
     ctc_forward_backward,
-    edit_distance,
     greedy_decode,
 )
 from .frontend import (
@@ -24,10 +24,8 @@ from .frontend import (
     FeatureMatrix,
     ManifestRow,
     feature_normalize,
-    load_wav,
-    mfcc,
     read_feature_cache,
-    resample,
+    wav_features,
 )
 from .network import (
     ModelConfig,
@@ -36,7 +34,6 @@ from .network import (
     forward,
     init_params,
     log_softmax,
-    named_tensors,
     validate_params,
     zeros_like_params,
 )
@@ -144,10 +141,7 @@ def load_dataset(
             if path.suffix == ".mfcc":
                 values = read_feature_cache(path)
             else:
-                clip = load_wav(path)
-                if clip.sample_rate_hz != cfg.sample_rate_hz:
-                    clip = resample(clip, cfg.sample_rate_hz)
-                values = mfcc(clip, cfg).values
+                values, _ = wav_features(path, cfg)
         except (OSError, ValueError) as e:
             dropped.append((row, f"unreadable audio: {e}"))
             continue
@@ -195,30 +189,16 @@ def split_dataset(items, split, seed: int):
 
 
 def global_grad_norm(grads: ModelParams) -> float:
-    total = 0.0
-    for _, g in named_tensors(grads):
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
+    # per-tensor partial sums in spec order; one np.sum over the vector rounds differently
+    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.tensors.values())))
 
 
 def clip_gradients(grads: ModelParams, max_norm: float) -> float:
     """Scale grads in place to the given global norm; returns pre-clip norm."""
     norm = global_grad_norm(grads)
     if norm > max_norm:
-        scale = max_norm / norm
-        for _, g in named_tensors(grads):
-            g *= scale
+        grads.vector *= max_norm / norm
     return norm
-
-
-def _add_params(dst: ModelParams, src: ModelParams) -> None:
-    for (_, a), (_, b) in zip(named_tensors(dst), named_tensors(src)):
-        a += b
-
-
-def _scale_params(dst: ModelParams, scale: float) -> None:
-    for _, a in named_tensors(dst):
-        a *= scale
 
 
 def momentum_step(
@@ -229,18 +209,16 @@ def momentum_step(
     Gradients are globally norm-clipped first. A non-finite gradient skips
     the whole step (logged) so one bad utterance cannot poison the weights.
     """
-    for name, g in named_tensors(grads):
-        if not np.all(np.isfinite(g)):
-            logger.warning("non-finite gradient in %s; step skipped", name)
-            return False
+    if not np.all(np.isfinite(grads.vector)):
+        name = next(n for n, g in grads.tensors.items() if not np.all(np.isfinite(g)))
+        logger.warning("non-finite gradient in %s; step skipped", name)
+        return False
     if cfg.grad_clip_norm is not None:
         clip_gradients(grads, cfg.grad_clip_norm)
-    for (_, theta), (_, g), (_, v) in zip(
-        named_tensors(params), named_tensors(grads), named_tensors(state.velocity)
-    ):
-        v *= cfg.momentum
-        v += g
-        theta -= cfg.learning_rate * v
+    v = state.velocity.vector
+    v *= cfg.momentum
+    v += grads.vector
+    params.vector -= cfg.learning_rate * v
     return True
 
 
@@ -270,8 +248,7 @@ def train_epoch(
         raise ValueError("empty training set")
     order = _epoch_order(cfg, epoch, len(data))
     total_cost = 0.0
-    total_edit = 0
-    total_ref = 0
+    decoded = []
 
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
@@ -293,13 +270,12 @@ def train_epoch(
                     f"the load-time filter should have dropped it"
                 )
             total_cost += res.neg_log_likelihood
-            total_edit += edit_distance(utt.labels, greedy_decode(log_probs))
-            total_ref += len(utt.labels)
-            _add_params(batch_grads, backward(params, model_cfg, cache, res.dlogits))
-        _scale_params(batch_grads, 1.0 / len(batch))
+            decoded.append((utt.labels, greedy_decode(log_probs)))
+            batch_grads.vector += backward(params, model_cfg, cache, res.dlogits).vector
+        batch_grads.vector *= 1.0 / len(batch)
         momentum_step(params, batch_grads, state, cfg)
 
-    return total_cost / len(data), total_edit / total_ref
+    return total_cost / len(data), corpus_ler(decoded)
 
 
 def evaluate(
@@ -315,19 +291,17 @@ def evaluate(
     if decoder not in ("greedy", "beam"):
         raise ValueError(f"unknown decoder {decoder!r}")
     total_cost = 0.0
-    total_edit = 0
-    total_ref = 0
+    decoded = []
     for utt in data:
         logits, _ = forward(params, model_cfg, utt.features, train_mode=False)
         log_probs = log_softmax(logits)
         total_cost += ctc_forward_backward(log_probs, utt.labels).neg_log_likelihood
         if decoder == "greedy":
-            decoded = greedy_decode(log_probs)
+            hyp = greedy_decode(log_probs)
         else:
-            decoded = beam_search_decode(log_probs, beam_width)
-        total_edit += edit_distance(utt.labels, decoded)
-        total_ref += len(utt.labels)
-    return total_cost / len(data), total_edit / total_ref
+            hyp = beam_search_decode(log_probs, beam_width)
+        decoded.append((utt.labels, hyp))
+    return total_cost / len(data), corpus_ler(decoded)
 
 
 def train(

@@ -12,6 +12,7 @@ target alphabet's class count.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,9 +23,9 @@ from .network import (
     ModelConfig,
     ModelParams,
     init_params,
-    named_tensors,
     recurrent_hidden_outputs,
     tensor_spec,
+    tensor_views,
     validate_params,
 )
 from .text_labels import Alphabet
@@ -69,7 +70,9 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
     }
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
+def _config_from_dict(d) -> ModelConfig:
+    if not isinstance(d, dict):
+        raise CheckpointError("header config is not a JSON object")
     try:
         return ModelConfig(
             feature_dim=int(d["feature_dim"]),
@@ -80,6 +83,12 @@ def _config_from_dict(d: dict) -> ModelConfig:
         )
     except KeyError as e:
         raise CheckpointError(f"header config missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"bad header config: {e}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def checkpoint_from_params(
@@ -91,7 +100,7 @@ def checkpoint_from_params(
             f"alphabet {alphabet.name!r} has {alphabet.num_classes} classes, "
             f"config says {cfg.num_classes}"
         )
-    tensors = [(name, np.asarray(arr, dtype="<f4")) for name, arr in named_tensors(params)]
+    tensors = tensor_views(params.spec, params.vector.astype("<f4"))
     return Checkpoint(CHECKPOINT_VERSION, cfg, alphabet.name, "".join(alphabet.symbols), tensors)
 
 
@@ -124,6 +133,11 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, alphabet: Alphabet, p
 
 
 def read_checkpoint(path) -> Checkpoint:
+    """Parse a checkpoint file; any malformed or inconsistent field raises CheckpointError.
+
+    The tensor table must describe the packed layout ``write_checkpoint``
+    produces: spec order, each offset the total size of the tensors before it.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise CheckpointError(f"{path}: truncated header")
@@ -139,46 +153,51 @@ def read_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
 
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     cfg = _config_from_dict(header.get("config", {}))
     base = 12 + header_len
     base += (-base) % _ALIGN
 
     expected = tensor_spec(cfg)
     table = header.get("tensors", [])
-    if [e["name"] for e in table] != [name for name, _ in expected]:
+    if not isinstance(table, list) or not all(isinstance(e, dict) for e in table):
+        raise CheckpointError(f"{path}: tensor table is not a list of JSON objects")
+    names = [e.get("name") for e in table]
+    if names != [name for name, _ in expected]:
         raise CheckpointError(
-            f"{path}: tensor table {[e['name'] for e in table]} does not match "
-            f"the model config's tensor set"
+            f"{path}: tensor table {names} does not match the model config's tensor set"
         )
-    tensors = []
+    end = 0  # payload bytes taken by the tensors so far
     for entry, (name, shape) in zip(table, expected):
-        got_shape = tuple(int(s) for s in entry["shape"])
-        if got_shape != shape:
+        got_shape = entry.get("shape")
+        if not (isinstance(got_shape, list) and all(map(_is_int, got_shape))
+                and tuple(got_shape) == shape):
             raise CheckpointError(
-                f"{path}: tensor {name} has shape {got_shape}, config requires {shape}"
+                f"{path}: tensor {name} has shape {got_shape!r}, config requires {shape}"
             )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = base + int(entry["offset"])
-        end = start + 4 * count
-        if end > len(raw):
+        offset = entry.get("offset")
+        if not _is_int(offset) or offset != end:
+            raise CheckpointError(
+                f"{path}: tensor {name} has offset {offset!r}, the packed layout puts it at {end}"
+            )
+        end += 4 * math.prod(shape)
+        if base + end > len(raw):
             raise CheckpointError(f"{path}: truncated payload for tensor {name}")
-        arr = np.frombuffer(raw[start:end], dtype="<f4").reshape(shape)
-        tensors.append((name, arr))
+    payload = np.frombuffer(raw, dtype="<f4", count=end // 4, offset=base)
     return Checkpoint(
         version,
         cfg,
         str(header.get("alphabet_name", "")),
         str(header.get("alphabet_symbols", "")),
-        tensors,
+        tensor_views(expected, payload),
     )
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
-    params = init_params(ckpt.model_config)
-    data = dict(ckpt.tensors)
-    for name, arr in named_tensors(params):
-        arr[...] = data[name].astype(np.float64)
-    return params
+    spec = [(name, arr.shape) for name, arr in ckpt.tensors]
+    vector = np.concatenate([arr.ravel() for _, arr in ckpt.tensors]).astype(np.float64)
+    return ModelParams(spec, vector)
 
 
 def load_checkpoint(path, expect: ModelConfig | None = None):
@@ -241,17 +260,16 @@ def transfer_weights(
         )
 
     params = init_params(replace(target_cfg, seed=seed))
-    target_tensors = dict(named_tensors(params))
     copied = []
     for name, arr in source.tensors:
         if not name.startswith("layer"):
             continue
-        if target_tensors[name].shape != arr.shape:
+        if params.tensors[name].shape != arr.shape:
             raise TransferError(
                 f"recurrent tensor {name} has source shape {arr.shape}, "
-                f"target shape {target_tensors[name].shape}"
+                f"target shape {params.tensors[name].shape}"
             )
-        target_tensors[name][...] = arr.astype(np.float64)
+        params.tensors[name][...] = arr
         copied.append(name)
 
     reason = (

@@ -135,6 +135,37 @@ class TestPrepare:
         cleaned = read_manifest(out)
         assert cleaned[1].text == "абай"
 
+    def test_frame_and_duration_boundaries(self, tmp_path, capsys):
+        # a transcript of L symbols needs T >= 2L+1 frames; 15.0 s is kept
+        text = "сәлем"  # L = 5
+        rows = []
+        for name, frames, seconds in (("t11", 11, 1.0), ("t10", 10, 1.0),
+                                      ("d15", 40, 15.0), ("d1501", 40, 15.01)):
+            path = tmp_path / f"{name}.mfcc"
+            write_feature_cache(np.zeros((frames, 13)), path)
+            rows.append(ManifestRow(str(path), text, seconds))
+        manifest = tmp_path / "raw.jsonl"
+        write_manifest(rows, manifest)
+        out = tmp_path / "clean.jsonl"
+        code, payload = run_json(capsys, [
+            "prepare", "--manifest", str(manifest), "--alphabet", "kk", "--out", str(out),
+        ])
+        assert code == 0
+        assert payload["dropped"] == {"transcript too long for frame count": 1, "duration": 1}
+        assert [r.audio.rsplit("/", 1)[-1] for r in read_manifest(out)] == ["t11.mfcc", "d15.mfcc"]
+
+    @pytest.mark.parametrize(
+        "line", ["5", '{"audio": "a.wav", "text": "x", "duration_s": [1]}'],
+        ids=["non-object-row", "non-numeric-duration"],
+    )
+    def test_malformed_manifest_row_is_a_data_error(self, tmp_path, capsys, line):
+        manifest = tmp_path / "raw.jsonl"
+        manifest.write_text(line + "\n", encoding="utf-8")
+        code = main(["prepare", "--manifest", str(manifest), "--alphabet", "kk",
+                     "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "raw.jsonl:1" in capsys.readouterr().err
+
     def test_no_input_source_is_a_data_error(self, tmp_path, capsys):
         code = main(["prepare", "--alphabet", "ru", "--out", str(tmp_path / "o.jsonl")])
         assert code == 2

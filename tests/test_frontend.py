@@ -279,6 +279,21 @@ class TestManifest:
         with pytest.raises(ValueError, match="needs 'audio' and 'text'"):
             read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            ("5", "m.jsonl:2: manifest row is not a JSON object"),
+            ('{"audio": "b.wav", "text": "y", "duration_s": [1]}',
+             r"m.jsonl:2: duration_s \[1\] is not a number"),
+        ],
+        ids=["non-object-row", "non-numeric-duration"],
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, line, match):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"audio": "a.wav", "text": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            read_manifest(path)
+
     def test_duration_filter_keeps_the_boundary(self):
         rows = [
             ManifestRow("a.wav", "x", 15.0),

@@ -13,9 +13,7 @@ from ctcx import (
     tensor_spec,
 )
 from ctcx.network import (
-    LayerParams,
-    LstmLayerParams,
-    ModelParams,
+    copy_params,
     validate_params,
     zeros_like_params,
 )
@@ -57,18 +55,18 @@ class TestTensorLayout:
         assert [n for n, _ in named_tensors(params)] == [n for n, _ in tensor_spec(cfg)]
 
     def test_validate_catches_shape_drift(self):
-        cfg = small_cfg()
-        params = init_params(cfg)
-        params.dense_b = np.zeros(5)
+        params = init_params(small_cfg())
+        drifted = ModelConfig(feature_dim=3, num_classes=5, hidden=4, num_layers=2)
         with pytest.raises(ValueError, match="dense.b"):
-            validate_params(params, cfg)
+            validate_params(params, drifted)
 
 
 class TestInit:
     def test_forget_gate_bias_is_one_rest_zero(self):
         params = init_params(small_cfg())
-        for layer in params.layers:
-            bias = layer.fwd.bias
+        for name, bias in named_tensors(params):
+            if not name.endswith(".bias"):
+                continue
             h = len(bias) // 4
             np.testing.assert_array_equal(bias[h : 2 * h], np.ones(h))
             np.testing.assert_array_equal(bias[:h], np.zeros(h))
@@ -107,9 +105,9 @@ class TestGateEquations:
         # c_t = f c_{t-1} + i g and h_t = o tanh(c_t)
         h = 1
         bias = np.array([0.5, 0.25, 0.3, -0.2])  # [input, forget, cell, output]
-        layer = LstmLayerParams(np.zeros((4, 2)), np.zeros((4, 1)), bias)
-        params = ModelParams([LayerParams(layer)], np.zeros((2, 1)), np.zeros(2))
         cfg = ModelConfig(feature_dim=2, num_classes=2, hidden=1, num_layers=1)
+        params = zeros_like_params(init_params(cfg))
+        params.tensors["layer1.fwd.bias"][...] = bias
 
         out = recurrent_hidden_outputs(params, cfg, np.zeros((3, 2)))[0]
 
@@ -208,14 +206,14 @@ class TestDirectionSymmetry:
         def col_swapped(arr):
             return np.hstack([arr[:, h:], arr[:, :h]])
 
-        swapped_layers = []
-        for li, layer in enumerate(params.layers):
-            fwd, bwd = layer.fwd, layer.bwd
-            if li > 0:
-                fwd = LstmLayerParams(col_swapped(fwd.w_input), fwd.w_recurrent, fwd.bias)
-                bwd = LstmLayerParams(col_swapped(bwd.w_input), bwd.w_recurrent, bwd.bias)
-            swapped_layers.append(LayerParams(bwd, fwd))
-        swapped = ModelParams(swapped_layers, params.dense_w, params.dense_b)
+        swapped = copy_params(params)
+        for li in range(cfg.num_layers):
+            for to, frm in (("fwd", "bwd"), ("bwd", "fwd")):
+                w_input, w_recurrent, bias = params.direction(li, frm)
+                if li > 0:
+                    w_input = col_swapped(w_input)
+                for dst, src in zip(swapped.direction(li, to), (w_input, w_recurrent, bias)):
+                    dst[...] = src
 
         x = rng.standard_normal((6, 3))
         original = recurrent_hidden_outputs(params, cfg, x)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -21,6 +22,7 @@ from ctcx import (
     transfer_weights,
     verify_transfer,
 )
+from ctcx.cli import main as cli_main
 
 
 def small_cfg(**kw):
@@ -69,6 +71,17 @@ class TestCheckpointRoundTrip:
             checkpoint_for(cfg, ru, path)
             assert len(read_checkpoint(path).tensors) == count
 
+    def test_golden_bytes(self, tmp_path, kk):
+        # pins the file layout, the tensor order and the init draw order; the
+        # bytes depend only on numpy's PCG64 stream and float32 rounding
+        cfg = ModelConfig(feature_dim=13, num_classes=kk.num_classes, hidden=4, num_layers=2,
+                          bidirectional=True, seed=7)
+        path = tmp_path / "golden.ckpt"
+        save_checkpoint(init_params(cfg), cfg, kk, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "649779ac879304a6060b414f2a871d665f3a1ddab77ee64764fa5f9d1374358c"
+        )
+
     def test_file_starts_with_magic_and_version(self, tmp_path, ru):
         cfg = small_cfg(num_classes=ru.num_classes)
         checkpoint_for(cfg, ru, tmp_path / "m.ckpt")
@@ -82,12 +95,75 @@ class TestCheckpointRoundTrip:
         assert (12 + header_len + (-(12 + header_len)) % 64) % 64 == 0
 
 
+def rewrite_header(path, mutate):
+    """Replace a checkpoint's JSON header by ``mutate(header)``, keeping the payload."""
+    raw = path.read_bytes()
+    _, header_len = struct.unpack_from("<II", raw, 4)
+    header = json.loads(raw[12 : 12 + header_len])
+    blob = json.dumps(mutate(header), ensure_ascii=False).encode("utf-8")
+    prefix = raw[:4] + struct.pack("<II", 1, len(blob)) + blob
+    payload_start = 12 + header_len + (-(12 + header_len)) % 64
+    path.write_bytes(prefix + b"\0" * ((-len(prefix)) % 64) + raw[payload_start:])
+
+
+def edit_entry(header, index, **fields):
+    """The header with tensor entry ``index`` updated; a field set to None is removed."""
+    entry = header["tensors"][index]
+    for key, value in fields.items():
+        if value is None:
+            entry.pop(key)
+        else:
+            entry[key] = value
+    return header
+
+
+# (id, header mutation, expected CheckpointError message)
+MALFORMED_HEADERS = [
+    ("header-list", lambda h: [h], "header is not a JSON object"),
+    ("config-list", lambda h: {**h, "config": list(h["config"].values())},
+     "config is not a JSON object"),
+    ("config-non-integer", lambda h: {**h, "config": {**h["config"], "hidden": [6]}},
+     "bad header config"),
+    ("table-of-names", lambda h: {**h, "tensors": [e["name"] for e in h["tensors"]]},
+     "not a list of JSON objects"),
+    ("missing-name", lambda h: edit_entry(h, 0, name=None), "does not match"),
+    ("missing-shape", lambda h: edit_entry(h, 0, shape=None), "has shape None"),
+    ("non-integer-shape", lambda h: edit_entry(h, 0, shape=["24", 5]), "has shape \\['24', 5\\]"),
+    ("missing-offset", lambda h: edit_entry(h, 0, offset=None), "has offset None"),
+    ("non-integer-offset", lambda h: edit_entry(h, 0, offset=0.0), "has offset 0.0"),
+    ("negative-offset", lambda h: edit_entry(h, 0, offset=-64), "has offset -64"),
+    ("overlapping-offset", lambda h: edit_entry(h, 1, offset=0), "has offset 0,"),
+]
+
+
 class TestCheckpointErrors:
     def write_valid(self, tmp_path, ru):
         cfg = small_cfg(num_classes=ru.num_classes)
         path = tmp_path / "m.ckpt"
         checkpoint_for(cfg, ru, path)
         return path, cfg
+
+    @pytest.mark.parametrize(
+        "mutate,match", [case[1:] for case in MALFORMED_HEADERS],
+        ids=[case[0] for case in MALFORMED_HEADERS],
+    )
+    def test_malformed_header_field(self, tmp_path, ru, mutate, match):
+        path, _ = self.write_valid(tmp_path, ru)
+        rewrite_header(path, mutate)
+        with pytest.raises(CheckpointError, match=match):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mutate", [case[1] for case in MALFORMED_HEADERS],
+        ids=[case[0] for case in MALFORMED_HEADERS],
+    )
+    def test_malformed_header_is_a_cli_data_error(self, tmp_path, ru, capsys, mutate):
+        path, _ = self.write_valid(tmp_path, ru)
+        rewrite_header(path, mutate)
+        code = cli_main(["transfer", "--source", str(path), "--target-alphabet", "kk",
+                         "--out", str(tmp_path / "out.ckpt")])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_bad_magic(self, tmp_path, ru):
         path, _ = self.write_valid(tmp_path, ru)
@@ -127,17 +203,7 @@ class TestCheckpointErrors:
 
     def test_shape_mismatch_names_tensor(self, tmp_path, ru):
         path, _ = self.write_valid(tmp_path, ru)
-        raw = path.read_bytes()
-        _, header_len = struct.unpack_from("<II", raw, 4)
-        header = json.loads(raw[12 : 12 + header_len])
-        header["tensors"][0]["shape"] = [1, 1]
-        blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-        prefix = raw[:8] + blob
-        # keep byte layout valid: re-pack with the new header length
-        prefix = raw[:4] + struct.pack("<II", 1, len(blob)) + blob
-        payload_start = 12 + header_len + (-(12 + header_len)) % 64
-        pad = (-len(prefix)) % 64
-        path.write_bytes(prefix + b"\0" * pad + raw[payload_start:])
+        rewrite_header(path, lambda h: edit_entry(h, 0, shape=[1, 1]))
         with pytest.raises(CheckpointError, match="layer1.fwd.w_input"):
             read_checkpoint(path)
 
@@ -254,14 +320,14 @@ class TestVerifyTransfer:
 
     def test_perturbation_is_detected_and_located(self, ru, kk, rng):
         src, moved, cfg = self.build(ru, kk)
-        moved.layers[1].fwd.w_recurrent[0, 0] += 1e-3
+        moved.tensors["layer2.fwd.w_recurrent"][0, 0] += 1e-3
         probes = [rng.standard_normal((7, cfg.feature_dim))]
         with pytest.raises(TransferVerificationError, match="layer2"):
             verify_transfer(src, moved, cfg, probes)
 
     def test_post_training_mode_reports_without_raising(self, ru, kk, rng):
         src, moved, cfg = self.build(ru, kk)
-        moved.layers[0].fwd.bias[0] += 0.5
+        moved.tensors["layer1.fwd.bias"][0] += 0.5
         report = verify_transfer(
             src, moved, cfg, rng.standard_normal((7, cfg.feature_dim)), post_training=True
         )
