@@ -5,6 +5,7 @@ from .ctc import (
     collapse_path,
     corpus_ler,
     ctc_forward_backward,
+    ctc_loss,
     ctc_loss_bruteforce,
     edit_distance,
     extend_with_blanks,

@@ -30,6 +30,7 @@ from .frontend import (
     load_wav,
     read_manifest,
     resample,  # unused here; perfbench/tests/test_tracing.py checks ctcx.cli.resample is traced
+    resampled_length,
     wav_features,
     within_max_duration,
     write_feature_cache,
@@ -142,10 +143,7 @@ def _frame_count_for_row(row: ManifestRow, cfg: FeatureConfig) -> tuple[int, flo
         duration = row.duration_s if row.duration_s is not None else t * cfg.hop_ms / 1000.0
         return t, duration
     clip = load_wav(path)
-    if clip.sample_rate_hz != cfg.sample_rate_hz:
-        n = round(len(clip.samples) * cfg.sample_rate_hz / clip.sample_rate_hz)
-    else:
-        n = len(clip.samples)
+    n = resampled_length(len(clip.samples), clip.sample_rate_hz, cfg.sample_rate_hz)
     return frame_count(n, cfg), clip.duration_s
 
 

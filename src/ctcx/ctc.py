@@ -60,6 +60,48 @@ class CtcResult:
     log_likelihood: float
 
 
+def _lattice(log_probs: np.ndarray, labels) -> tuple[np.ndarray, ...]:
+    """Checked log_probs, the blank-extended labels ``ext``, their T x S
+    emission log-probs, and ``skip_ok[s]``: whether a path may skip from
+    ``s`` to ``s + 2``, true only between two different labels."""
+    log_probs = _check_log_dist(log_probs)
+    blank = log_probs.shape[1] - 1
+    labels = tuple(int(x) for x in labels)
+    if any(not 0 <= x < blank for x in labels):
+        raise ValueError(f"labels must lie in [0, {blank}), got {labels}")
+    ext = extend_with_blanks(labels, blank)
+    skip_ok = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    return log_probs, ext, log_probs[:, ext], skip_ok
+
+
+def _lattice_step(prev: np.ndarray, skip_ok: np.ndarray) -> np.ndarray:
+    """Log-mass reaching each position from ``prev`` in one frame: stay,
+    advance one, or skip two where ``skip_ok`` allows."""
+    acc = prev.copy()
+    acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+    acc[2:] = np.logaddexp(acc[2:], np.where(skip_ok, prev[:-2], NEG_INF))
+    return acc
+
+
+def _log_alpha(ly: np.ndarray, skip_ok: np.ndarray) -> tuple[np.ndarray, float]:
+    """Forward lattice and the total log-likelihood (-inf when infeasible)."""
+    alpha = np.full(ly.shape, NEG_INF)
+    alpha[0, :2] = ly[0, :2]
+    for t in range(1, len(ly)):
+        alpha[t] = ly[t] + _lattice_step(alpha[t - 1], skip_ok)
+    return alpha, float(np.logaddexp.reduce(alpha[-1, -2:]))
+
+
+def ctc_loss(log_probs: np.ndarray, labels) -> float:
+    """CTC loss from the forward recursion alone; +inf when infeasible.
+
+    Equals ``ctc_forward_backward(log_probs, labels).neg_log_likelihood``
+    without the backward recursion or the gradient.
+    """
+    _, _, ly, skip_ok = _lattice(log_probs, labels)
+    return -_log_alpha(ly, skip_ok)[1]
+
+
 def ctc_forward_backward(log_probs: np.ndarray, labels) -> CtcResult:
     """Forward-backward CTC loss and its gradient with respect to logits.
 
@@ -68,62 +110,23 @@ def ctc_forward_backward(log_probs: np.ndarray, labels) -> CtcResult:
     the labels fits into T frames the loss is +inf, the gradient is zero,
     and the result is flagged infeasible.
     """
-    log_probs = _check_log_dist(log_probs)
-    t_len, n_classes = log_probs.shape
-    blank = n_classes - 1
-    labels = tuple(int(x) for x in labels)
-    if any(not 0 <= x < blank for x in labels):
-        raise ValueError(f"labels must lie in [0, {blank}), got {labels}")
-
-    ext = extend_with_blanks(labels, blank)
-    s_len = len(ext)
-    ly = log_probs[:, ext]  # (T, S) emission log-probs per extended position
-
-    # skip transition s-2 -> s allowed into a label position that differs
-    # from the label two slots back
-    skip_ok = np.zeros(s_len, dtype=bool)
-    if s_len > 2:
-        skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-
-    alpha = np.full((t_len, s_len), NEG_INF)
-    alpha[0, 0] = ly[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = ly[0, 1]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        if s_len > 2:
-            skipped = np.where(skip_ok[2:], prev[:-2], NEG_INF)
-            acc[2:] = np.logaddexp(acc[2:], skipped)
-        alpha[t] = ly[t] + acc
-
-    beta = np.full((t_len, s_len), NEG_INF)
-    beta[t_len - 1, s_len - 1] = 0.0
-    if s_len > 1:
-        beta[t_len - 1, s_len - 2] = 0.0
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1] + ly[t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        if s_len > 2:
-            skipped = np.where(skip_ok[2:], nxt[2:], NEG_INF)
-            acc[:-2] = np.logaddexp(acc[:-2], skipped)
-        beta[t] = acc
-
-    log_p = alpha[t_len - 1, s_len - 1]
-    if s_len > 1:
-        log_p = np.logaddexp(log_p, alpha[t_len - 1, s_len - 2])
-    log_p = float(log_p)
+    log_probs, ext, ly, skip_ok = _lattice(log_probs, labels)
+    alpha, log_p = _log_alpha(ly, skip_ok)
+    # beta is the same lattice walked from the end: time and positions reversed
+    ly_rev, skip_rev = ly[::-1, ::-1].copy(), skip_ok[::-1].copy()
+    beta = np.full(ly.shape, NEG_INF)
+    beta[0, :2] = 0.0
+    for u in range(1, len(ly)):
+        beta[u] = _lattice_step(beta[u - 1] + ly_rev[u - 1], skip_rev)
+    beta = beta[::-1, ::-1]
 
     if log_p == NEG_INF:
         return CtcResult(np.inf, np.zeros_like(log_probs), False, alpha, beta, log_p)
 
     gamma = alpha + beta  # (T, S)
-    log_q = np.full((t_len, n_classes), NEG_INF)
+    log_q = np.full(log_probs.shape, NEG_INF)
     for k in np.unique(ext):
-        cols = gamma[:, ext == k]
-        log_q[:, k] = np.logaddexp.reduce(cols, axis=1)
+        log_q[:, k] = np.logaddexp.reduce(gamma[:, ext == k], axis=1)
     dlogits = np.exp(log_probs) - np.exp(log_q - log_p)
     return CtcResult(-log_p, dlogits, True, alpha, beta, log_p)
 

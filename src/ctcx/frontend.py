@@ -178,11 +178,17 @@ _KAISER_BETA = 8.6
 _ZERO_CROSSINGS = 16
 
 
+def resampled_length(num_samples: int, source_hz: int, target_hz: int) -> int:
+    """Sample count of a clip resampled from ``source_hz`` to ``target_hz``:
+    round(n * target / source), and n itself when the rates match."""
+    return int(round(num_samples * (target_hz / source_hz)))
+
+
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     """Band-limited windowed-sinc resampling (Kaiser window, 16 zero crossings).
 
     Returns the clip unchanged when the rates already match. Output length is
-    round(n * target / source).
+    ``resampled_length``.
     """
     if target_hz <= 0:
         raise ValueError(f"bad target rate {target_hz}")
@@ -191,7 +197,7 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 
     x = clip.samples
     ratio = target_hz / clip.sample_rate_hz
-    n_out = int(round(len(x) * ratio))
+    n_out = resampled_length(len(x), clip.sample_rate_hz, target_hz)
     scale = min(1.0, ratio)  # lowpass cutoff when decimating
     support = _ZERO_CROSSINGS / scale
     half_taps = int(np.floor(support)) + 1

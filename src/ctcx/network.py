@@ -5,6 +5,15 @@ candidate, output]. The same ordering is used in checkpoints, so weight
 transfer between models is well defined. All math is float64; parameter
 values are kept on the float32 grid so checkpoints round-trip bit-exactly.
 
+Gate activations: each step applies one expression, ``(1 - k) + k *
+tanh(k * z)``, to its whole 4H pre-activation ``z``, with ``k = 1/2`` on the
+input, forget and output blocks and ``k = 1`` on the cell block. Because
+``sigmoid(z) = 1/2 + 1/2 tanh(z/2)``, that is the sigmoid on three blocks and
+tanh on the fourth, and it cannot overflow at any ``z``. A direction keeps its
+activations as one (T, 4H) matrix in the same [i, f, g, o] order, and
+backward turns it into the pre-activation gradient with one slope,
+``(1 - a) * (a + 2k - 1)``.
+
 Parameter layout: all of a model's tensors live in one contiguous float64
 vector, back to back in ``tensor_spec`` order, and each name maps to a
 writable view of its slice. The recurrent ``layer*`` tensors form a prefix
@@ -147,13 +156,11 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return params
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _gate_scales(h_dim: int) -> np.ndarray:
+    """Per-column k of the gate activation ``(1 - k) + k * tanh(k * z)``."""
+    k = np.full(4 * h_dim, 0.5)  # sigmoid(z) = 1/2 + 1/2 tanh(z/2) on i, f, o
+    k[2 * h_dim : 3 * h_dim] = 1.0  # tanh(z) on the cell candidate g
+    return k
 
 
 @dataclass
@@ -161,13 +168,10 @@ class _DirectionCache:
     """Activations of one direction, in its own time order."""
 
     x: np.ndarray        # (T, D) input as seen by this direction
-    i: np.ndarray        # (T, H) gate activations
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray        # (T, H) cell states
-    tanh_c: np.ndarray
-    h: np.ndarray
+    gates: np.ndarray    # (T, 4H) activations [i, f, g, o]
+    c: np.ndarray        # (T + 1, H) cell states; row 0 is the zero initial state
+    tanh_c: np.ndarray   # (T, H) tanh of c[1:]
+    h: np.ndarray        # (T + 1, H) hidden states; row 0 is the zero initial state
 
 
 def _direction_forward(
@@ -176,32 +180,23 @@ def _direction_forward(
     w_input, w_recurrent, bias = lp
     t_len = x.shape[0]
     h_dim = w_recurrent.shape[1]
+    k = _gate_scales(h_dim)
+    offset = 1.0 - k
     z_in = x @ w_input.T + bias  # (T, 4H)
 
-    i = np.empty((t_len, h_dim))
-    f = np.empty((t_len, h_dim))
-    g = np.empty((t_len, h_dim))
-    o = np.empty((t_len, h_dim))
-    c = np.empty((t_len, h_dim))
+    gates = np.empty((t_len, 4 * h_dim))
+    c = np.zeros((t_len + 1, h_dim))
     tanh_c = np.empty((t_len, h_dim))
-    h = np.empty((t_len, h_dim))
-
-    h_prev = np.zeros(h_dim)
-    c_prev = np.zeros(h_dim)
+    h = np.zeros((t_len + 1, h_dim))
     w_rec_t = w_recurrent.T
     for t in range(t_len):
-        z = z_in[t] + h_prev @ w_rec_t
-        i[t] = _sigmoid(z[:h_dim])
-        f[t] = _sigmoid(z[h_dim : 2 * h_dim])
-        g[t] = np.tanh(z[2 * h_dim : 3 * h_dim])
-        o[t] = _sigmoid(z[3 * h_dim :])
-        c[t] = f[t] * c_prev + i[t] * g[t]
-        tanh_c[t] = np.tanh(c[t])
-        h[t] = o[t] * tanh_c[t]
-        h_prev = h[t]
-        c_prev = c[t]
+        gates[t] = offset + k * np.tanh(k * (z_in[t] + h[t] @ w_rec_t))
+        i, f, g, o = gates[t].reshape(4, h_dim)
+        c[t + 1] = f * c[t] + i * g
+        tanh_c[t] = np.tanh(c[t + 1])
+        h[t + 1] = o * tanh_c[t]
 
-    return h, _DirectionCache(x, i, f, g, o, c, tanh_c, h)
+    return h[1:], _DirectionCache(x, gates, c, tanh_c, h)
 
 
 def _direction_backward(
@@ -213,32 +208,27 @@ def _direction_backward(
     """Writes the direction's gradients into ``grad``; returns the input gradient."""
     w_input, w_rec, _ = lp
     t_len, h_dim = dh_out.shape
+    gates, tanh_c = cache.gates, cache.tanh_c
+    i, f, g, o = np.split(gates, 4, axis=1)
+    # d gate / d z of (1 - k) + k tanh(k z), written in the activation a
+    slope = (1.0 - gates) * (gates + (2.0 * _gate_scales(h_dim) - 1.0))
+    # dz_t = [dc, dc, dc, dh] * local_t: d c_t / d [i, f, g] and d h_t / d o
+    local = np.hstack([g, cache.c[:-1], i, tanh_c]) * slope
+    dc_dh = o * (1.0 - tanh_c**2)
     dz = np.empty((t_len, 4 * h_dim))
     dh_next = np.zeros(h_dim)
     dc_next = np.zeros(h_dim)
 
-    i, f, g, o = cache.i, cache.f, cache.g, cache.o
-    tanh_c = cache.tanh_c
     for t in range(t_len - 1, -1, -1):
         dh = dh_out[t] + dh_next
-        do = dh * tanh_c[t]
-        dc = dh * o[t] * (1.0 - tanh_c[t] ** 2) + dc_next
-        c_prev = cache.c[t - 1] if t > 0 else 0.0
-        di = dc * g[t]
-        df = dc * c_prev
-        dg = dc * i[t]
-        dz_t = dz[t]
-        dz_t[:h_dim] = di * i[t] * (1.0 - i[t])
-        dz_t[h_dim : 2 * h_dim] = df * f[t] * (1.0 - f[t])
-        dz_t[2 * h_dim : 3 * h_dim] = dg * (1.0 - g[t] ** 2)
-        dz_t[3 * h_dim :] = do * o[t] * (1.0 - o[t])
-        dh_next = dz_t @ w_rec
+        dc = dh * dc_dh[t] + dc_next
+        dz[t] = np.concatenate([dc, dc, dc, dh]) * local[t]
+        dh_next = dz[t] @ w_rec
         dc_next = dc * f[t]
 
-    h_prev = np.vstack([np.zeros((1, h_dim)), cache.h[:-1]])
     g_input, g_recurrent, g_bias = grad
     g_input[...] = dz.T @ cache.x
-    g_recurrent[...] = dz.T @ h_prev
+    g_recurrent[...] = dz.T @ cache.h[:-1]
     g_bias[...] = dz.sum(axis=0)
     return dz @ w_input
 
@@ -246,11 +236,9 @@ def _direction_backward(
 @dataclass
 class ForwardCache:
     cfg: ModelConfig
-    train_mode: bool
-    layer_inputs: list[np.ndarray]
     dir_caches: list[tuple[_DirectionCache, _DirectionCache | None]]
     masks: list[np.ndarray | None]
-    final_hidden: np.ndarray = field(default=None)  # type: ignore[assignment]
+    final_hidden: np.ndarray
 
 
 def _stack_forward(
@@ -270,27 +258,24 @@ def _stack_forward(
     validate_params(params, cfg)
 
     rng = np.random.default_rng(dropout_seed) if train_mode else None
-    cache = ForwardCache(cfg, train_mode, [], [], [])
+    dir_caches, masks = [], []
     x = np.asarray(features, dtype=np.float64)
     outputs = []
     for li in range(cfg.num_layers):
-        cache.layer_inputs.append(x)
         out, c_fwd = _direction_forward(params.direction(li, "fwd"), x)
         c_bwd = None
         if cfg.bidirectional:
             h_bwd_rev, c_bwd = _direction_forward(params.direction(li, "bwd"), x[::-1])
             out = np.hstack([out, h_bwd_rev[::-1]])
-        cache.dir_caches.append((c_fwd, c_bwd))
+        dir_caches.append((c_fwd, c_bwd))
+        mask = None
         if train_mode and cfg.dropout_keep < 1.0:
             mask = (rng.random(out.shape) < cfg.dropout_keep) / cfg.dropout_keep
             out = out * mask
-            cache.masks.append(mask)
-        else:
-            cache.masks.append(None)
+        masks.append(mask)
         outputs.append(out)
         x = out
-    cache.final_hidden = x
-    return outputs, cache
+    return outputs, ForwardCache(cfg, dir_caches, masks, x)
 
 
 def forward(

@@ -17,6 +17,7 @@ from .ctc import (
     beam_search_decode,
     corpus_ler,
     ctc_forward_backward,
+    ctc_loss,
     greedy_decode,
 )
 from .frontend import (
@@ -295,7 +296,7 @@ def evaluate(
     for utt in data:
         logits, _ = forward(params, model_cfg, utt.features, train_mode=False)
         log_probs = log_softmax(logits)
-        total_cost += ctc_forward_backward(log_probs, utt.labels).neg_log_likelihood
+        total_cost += ctc_loss(log_probs, utt.labels)
         if decoder == "greedy":
             hyp = greedy_decode(log_probs)
         else:

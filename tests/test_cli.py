@@ -8,6 +8,7 @@ import pytest
 from ctcx import (
     Alphabet,
     AudioClip,
+    FeatureConfig,
     ManifestRow,
     ModelConfig,
     init_params,
@@ -20,6 +21,7 @@ from ctcx import (
     write_manifest,
 )
 from ctcx.cli import main
+from ctcx.frontend import wav_features
 
 
 TOY = Alphabet("toy", ("а", "б", "в", " "))
@@ -144,6 +146,14 @@ class TestPrepare:
             path = tmp_path / f"{name}.mfcc"
             write_feature_cache(np.zeros((frames, 13)), path)
             rows.append(ManifestRow(str(path), text, seconds))
+        # 22.05 kHz clips one sample either side of 11 frames after resampling:
+        # the frame count prepare predicts must be the one extraction gives
+        noise = np.random.default_rng(0).uniform(-0.5, 0.5, 2756)
+        for name, samples, frames in (("w11", 2756, 11), ("w10", 2755, 10)):
+            path = tmp_path / f"{name}.wav"
+            save_wav(AudioClip(noise[:samples], 22050), path)
+            assert wav_features(path, FeatureConfig())[0].shape[0] == frames
+            rows.append(ManifestRow(str(path), text, None))
         manifest = tmp_path / "raw.jsonl"
         write_manifest(rows, manifest)
         out = tmp_path / "clean.jsonl"
@@ -151,8 +161,9 @@ class TestPrepare:
             "prepare", "--manifest", str(manifest), "--alphabet", "kk", "--out", str(out),
         ])
         assert code == 0
-        assert payload["dropped"] == {"transcript too long for frame count": 1, "duration": 1}
-        assert [r.audio.rsplit("/", 1)[-1] for r in read_manifest(out)] == ["t11.mfcc", "d15.mfcc"]
+        assert payload["dropped"] == {"transcript too long for frame count": 2, "duration": 1}
+        kept = [r.audio.rsplit("/", 1)[-1] for r in read_manifest(out)]
+        assert kept == ["t11.mfcc", "d15.mfcc", "w11.wav"]
 
     @pytest.mark.parametrize(
         "line", ["5", '{"audio": "a.wav", "text": "x", "duration_s": [1]}'],

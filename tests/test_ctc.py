@@ -6,6 +6,7 @@ from ctcx import (
     collapse_path,
     corpus_ler,
     ctc_forward_backward,
+    ctc_loss,
     ctc_loss_bruteforce,
     edit_distance,
     extend_with_blanks,
@@ -88,6 +89,7 @@ class TestForwardBackwardLoss:
             lp, labels = random_instance(rng)
             fast = ctc_forward_backward(lp, labels).neg_log_likelihood
             slow = ctc_loss_bruteforce(lp, labels)
+            assert ctc_loss(lp, labels) == fast  # the alpha pass alone, bit for bit
             if np.isinf(fast) or np.isinf(slow):
                 assert np.isinf(fast) and np.isinf(slow)
             else:

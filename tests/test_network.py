@@ -118,6 +118,32 @@ class TestGateEquations:
             c = f * c + i * g
             np.testing.assert_allclose(out[t, 0], o * np.tanh(c), rtol=1e-12)
 
+    def test_saturated_gates_stay_finite(self, rng):
+        # pre-activations of +-800 overflow a naive 1 / (1 + exp(-z)); with
+        # i = o = 1, f = 0 and g = +-1 every state is c = g, h = tanh(g)
+        cfg = small_cfg(bidirectional=True)
+        params = init_params(cfg)
+        h = cfg.hidden
+        sign = np.where(np.arange(h) < h // 2, 1.0, -1.0)
+        for name, view in params.tensors.items():
+            if name.endswith(".bias"):
+                view[...] = np.concatenate([[800.0] * h, [-800.0] * h, 800.0 * sign, [800.0] * h])
+        x = rng.standard_normal((6, 3))
+
+        with np.errstate(over="raise", invalid="raise"):
+            hidden = recurrent_hidden_outputs(params, cfg, x)
+            logits, cache = forward(params, cfg, x)
+            grads = backward(params, cfg, cache, rng.standard_normal(logits.shape))
+
+        expected = np.tile(np.tanh(sign), (6, 2))
+        for out in hidden:
+            np.testing.assert_array_equal(out, expected)
+        assert np.all(np.isfinite(logits)) and np.all(np.isfinite(grads.vector))
+        for name, g in named_tensors(grads):
+            if name.startswith("layer"):
+                assert not g.any(), f"{name}: a saturated gate passes no gradient"
+        assert grads.dense_w.any()
+
 
 class TestForward:
     def test_logit_shape(self):
