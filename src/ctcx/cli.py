@@ -1,4 +1,4 @@
-"""Command-line pipeline: prepare, features, train, transfer, evaluate, decode.
+"""Command-line pipeline: prepare, features, train, transfer, evaluate, decode, experiment.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad or incompatible
 inputs), 3 unexpected runtime error. Every nonzero exit prints a diagnostic
@@ -21,7 +21,6 @@ import numpy as np
 from .ctc import beam_search_decode, greedy_decode
 from .frontend import (
     FeatureConfig,
-    FeatureMatrix,
     ManifestRow,
     WavFormatError,
     feature_cache_header,
@@ -201,16 +200,8 @@ def cmd_prepare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _feature_config_from_file(path) -> FeatureConfig:
-    try:
-        overrides = json.loads(Path(path).read_text(encoding="utf-8"))
-        return replace(FeatureConfig(), **overrides)
-    except (TypeError, ValueError) as e:
-        raise DataError(f"bad feature config {path}: {e}") from None
-
-
 def cmd_features(args) -> int:
-    cfg = _feature_config_from_file(args.config) if args.config else FeatureConfig()
+    cfg = FeatureConfig()
     rows = read_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -404,17 +395,10 @@ def cmd_transfer(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _alphabet_from_checkpoint(ckpt) -> Alphabet:
-    if not ckpt.alphabet_symbols:
-        raise DataError("checkpoint does not embed its alphabet; cannot decode")
-    return ckpt.alphabet
-
-
 def cmd_evaluate(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
-    alphabet = _alphabet_from_checkpoint(ckpt)
     params = params_from_checkpoint(ckpt)
-    utterances = _load_utterances(args.manifest, alphabet)
+    utterances = _load_utterances(args.manifest, ckpt.alphabet)
     if any(u.features.shape[1] != ckpt.model_config.feature_dim for u in utterances):
         raise DataError(
             f"feature dim mismatch: checkpoint expects {ckpt.model_config.feature_dim}"
@@ -432,14 +416,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_decode(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
-    alphabet = _alphabet_from_checkpoint(ckpt)
     params = params_from_checkpoint(ckpt)
     cfg = FeatureConfig()
 
     raw, resampled = wav_features(args.wav, cfg)
     if resampled:
         logger.info("resampled %s to %d Hz", args.wav, cfg.sample_rate_hz)
-    values = feature_normalize(FeatureMatrix(raw, cfg)).values
+    values = feature_normalize(raw)
     if values.shape[1] != ckpt.model_config.feature_dim:
         raise DataError(
             f"feature dim {values.shape[1]} does not match checkpoint "
@@ -451,7 +434,7 @@ def cmd_decode(args) -> int:
         ids = beam_search_decode(log_probs, args.beam_width)
     else:
         ids = greedy_decode(log_probs)
-    transcript = decode(ids, alphabet)
+    transcript = decode(ids, ckpt.alphabet)
 
     _emit(args, {"transcript": transcript, "resampled": resampled, "frames": int(values.shape[0])},
           transcript)
@@ -561,7 +544,6 @@ def build_parser() -> _Parser:
     p = add("features", cmd_features, "extract MFCC cache files for a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="JSON file overriding feature extraction fields")
     p.add_argument("--out-manifest", help="rewritten manifest path (default: out-dir/manifest.jsonl)")
 
     p = add("train", cmd_train, "train a recognizer")

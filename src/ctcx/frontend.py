@@ -7,6 +7,7 @@ scale), log with a 1e-10 floor, orthonormal DCT-II, first 13 coefficients.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,14 +77,9 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """T x F matrix of MFCC frames plus the config that produced it."""
+    """T x F matrix of MFCC frames."""
 
     values: np.ndarray
-    config: FeatureConfig
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[0]
 
 
 def frame_count(num_samples: int, cfg: FeatureConfig) -> int:
@@ -306,21 +302,19 @@ def mfcc(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
     energies = power @ fbank.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     cepstra = log_energies @ dct_matrix(cfg.n_mels).T
-    return FeatureMatrix(np.ascontiguousarray(cepstra[:, : cfg.n_mfcc]), cfg)
+    return FeatureMatrix(np.ascontiguousarray(cepstra[:, : cfg.n_mfcc]))
 
 
-def feature_normalize(fm: FeatureMatrix) -> FeatureMatrix:
-    """Per-coefficient zero mean, unit variance over the utterance.
+def feature_normalize(values: np.ndarray) -> np.ndarray:
+    """Per-coefficient zero mean, unit variance of a T x F array over the utterance.
 
     Columns with no spread (including single-frame input) become zeros.
     """
-    v = fm.values
-    constant = v.max(axis=0) == v.min(axis=0)
-    mean = v.mean(axis=0)
-    std = v.std(axis=0)
+    constant = values.max(axis=0) == values.min(axis=0)
+    mean = values.mean(axis=0)
+    std = values.std(axis=0)
     safe = np.where(constant, 1.0, std)
-    out = np.where(constant, 0.0, (v - mean) / safe)
-    return FeatureMatrix(out, fm.config)
+    return np.where(constant, 0.0, (values - mean) / safe)
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +330,34 @@ def write_feature_cache(values: np.ndarray, path) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def read_feature_cache(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != FEATURE_CACHE_MAGIC:
+def _cache_shape(head: bytes, size: int, path) -> tuple[int, int]:
+    """(T, F) of a cache file from its leading bytes and its total byte size.
+
+    Raises ValueError unless the magic, the version and the size
+    ``16 + 4 * T * F`` all match.
+    """
+    if len(head) < 16 or head[:4] != FEATURE_CACHE_MAGIC:
         raise ValueError(f"{path}: not a feature cache file")
-    version, t, f = struct.unpack_from("<III", raw, 4)
+    version, t, f = struct.unpack_from("<III", head, 4)
     if version != FEATURE_CACHE_VERSION:
         raise ValueError(f"{path}: unsupported feature cache version {version}")
     expected = 16 + 4 * t * f
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
+    if size != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, found {size}")
+    return t, f
+
+
+def read_feature_cache(path) -> np.ndarray:
+    raw = Path(path).read_bytes()
+    t, f = _cache_shape(raw, len(raw), path)
     values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, f)
     return values.astype(np.float64)
 
 
 def feature_cache_header(path) -> tuple[int, int]:
-    """Read (T, F) from a cache file without loading the payload."""
+    """Read and check (T, F) of a cache file without loading the payload."""
     with open(path, "rb") as fh:
-        head = fh.read(16)
-    if len(head) < 16 or head[:4] != FEATURE_CACHE_MAGIC:
-        raise ValueError(f"{path}: not a feature cache file")
-    _, t, f = struct.unpack_from("<III", head, 4)
-    return t, f
+        return _cache_shape(fh.read(16), os.fstat(fh.fileno()).st_size, path)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +414,3 @@ def within_max_duration(seconds: float) -> bool:
     """The 15 s rule: longer utterances are dropped, 15.0 itself is kept."""
     return seconds <= MAX_UTTERANCE_SECONDS
 
-
-def duration_filter(rows) -> list[ManifestRow]:
-    """Drop rows longer than 15 seconds; order preserved, 15.0 itself kept."""
-    kept = []
-    for r in rows:
-        if r.duration_s is None:
-            raise ValueError(f"manifest row {r.audio!r} has no duration_s")
-        if within_max_duration(r.duration_s):
-            kept.append(r)
-    return kept

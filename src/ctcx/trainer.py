@@ -22,7 +22,6 @@ from .ctc import (
 )
 from .frontend import (
     FeatureConfig,
-    FeatureMatrix,
     ManifestRow,
     feature_normalize,
     read_feature_cache,
@@ -122,10 +121,7 @@ def min_frames_rule(num_labels: int) -> int:
 
 
 def load_dataset(
-    rows,
-    alphabet: Alphabet,
-    feature_config: FeatureConfig | None = None,
-    normalize: bool = True,
+    rows, alphabet: Alphabet, *, normalize: bool = True
 ) -> tuple[list[Utterance], list[tuple[ManifestRow, str]]]:
     """Build utterances from manifest rows; returns (kept, dropped-with-reason).
 
@@ -133,7 +129,6 @@ def load_dataset(
     full frontend (resampled when needed). Rows whose label sequence cannot
     fit the frame count (2L+1 > T) are dropped here, never mid-epoch.
     """
-    cfg = feature_config or FeatureConfig()
     kept: list[Utterance] = []
     dropped: list[tuple[ManifestRow, str]] = []
     for row in rows:
@@ -142,7 +137,7 @@ def load_dataset(
             if path.suffix == ".mfcc":
                 values = read_feature_cache(path)
             else:
-                values, _ = wav_features(path, cfg)
+                values, _ = wav_features(path, FeatureConfig())
         except (OSError, ValueError) as e:
             dropped.append((row, f"unreadable audio: {e}"))
             continue
@@ -159,9 +154,8 @@ def load_dataset(
             )
             continue
 
-        values = np.asarray(values, dtype=np.float64)
         if normalize:
-            values = feature_normalize(FeatureMatrix(values, cfg)).values
+            values = feature_normalize(values)
         kept.append(Utterance(path.stem, text, labels, values))
 
     for row, reason in dropped:

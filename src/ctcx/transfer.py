@@ -135,8 +135,10 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, alphabet: Alphabet, p
 def read_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file; any malformed or inconsistent field raises CheckpointError.
 
-    The tensor table must describe the packed layout ``write_checkpoint``
-    produces: spec order, each offset the total size of the tensors before it.
+    The embedded alphabet must be valid and give the config's class count,
+    so ``Checkpoint.alphabet`` of a read checkpoint never raises. The tensor
+    table must describe the packed layout ``write_checkpoint`` produces: spec
+    order, each offset the total size of the tensors before it.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -156,6 +158,19 @@ def read_checkpoint(path) -> Checkpoint:
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     cfg = _config_from_dict(header.get("config", {}))
+    alphabet_name = header.get("alphabet_name")
+    alphabet_symbols = header.get("alphabet_symbols")
+    if not (isinstance(alphabet_name, str) and isinstance(alphabet_symbols, str)):
+        raise CheckpointError(f"{path}: header needs string alphabet_name and alphabet_symbols")
+    try:
+        alphabet = Alphabet(alphabet_name, tuple(alphabet_symbols))
+    except ValueError as e:
+        raise CheckpointError(f"{path}: bad embedded alphabet: {e}") from None
+    if alphabet.num_classes != cfg.num_classes:
+        raise CheckpointError(
+            f"{path}: alphabet {alphabet_name!r} has {alphabet.num_classes} classes, "
+            f"config says {cfg.num_classes}"
+        )
     base = 12 + header_len
     base += (-base) % _ALIGN
 
@@ -185,13 +200,7 @@ def read_checkpoint(path) -> Checkpoint:
         if base + end > len(raw):
             raise CheckpointError(f"{path}: truncated payload for tensor {name}")
     payload = np.frombuffer(raw, dtype="<f4", count=end // 4, offset=base)
-    return Checkpoint(
-        version,
-        cfg,
-        str(header.get("alphabet_name", "")),
-        str(header.get("alphabet_symbols", "")),
-        tensor_views(expected, payload),
-    )
+    return Checkpoint(version, cfg, alphabet_name, alphabet_symbols, tensor_views(expected, payload))
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> ModelParams:

@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from ctcx import (
     ManifestRow,
     ModelConfig,
     init_params,
+    load_dataset,
+    read_feature_cache,
     read_manifest,
     save_alphabet,
     save_checkpoint,
@@ -116,12 +119,15 @@ class TestPrepare:
 
     def test_transcripts_normalized_and_bad_rows_dropped(self, tmp_path, capsys, ru):
         src_rows = write_corpus(tmp_path / "f", ru, 2, seed=3)
+        truncated = tmp_path / "truncated.mfcc"
+        truncated.write_bytes(Path(src_rows[1].audio).read_bytes()[:-4])
         rows = [
             src_rows[0],
             ManifestRow(src_rows[0].audio, "Абай!", src_rows[0].duration_s),
             ManifestRow(src_rows[1].audio, "12345", src_rows[1].duration_s),
             ManifestRow(src_rows[1].audio, src_rows[1].text, 16.0),
             ManifestRow(str(tmp_path / "gone.mfcc"), "привет мир", 1.0),
+            ManifestRow(str(truncated), src_rows[1].text, src_rows[1].duration_s),
         ]
         manifest = tmp_path / "raw.jsonl"
         write_manifest(rows, manifest)
@@ -132,7 +138,7 @@ class TestPrepare:
         assert code == 0
         assert payload["kept"] == 2
         assert payload["dropped"] == {
-            "empty transcript": 1, "duration": 1, "unreadable audio": 1,
+            "empty transcript": 1, "duration": 1, "unreadable audio": 2,
         }
         cleaned = read_manifest(out)
         assert cleaned[1].text == "абай"
@@ -238,26 +244,29 @@ class TestFeatures:
         assert code == 2
         assert "CTCX_THREADS" in capsys.readouterr().err
 
-    def test_config_override_file(self, tmp_path, capsys):
-        manifest = self.build_wav_manifest(tmp_path, n=1)
-        cfg_path = tmp_path / "feat.json"
-        cfg_path.write_text(json.dumps({"n_mfcc": 7}))
+    def test_every_command_extracts_the_same_frames(self, tmp_path, capsys):
+        # features, decode and load_dataset share one feature recipe
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt)
+        rows = []
+        for rate in (16000, 22050):
+            path = tmp_path / f"r{rate}.wav"
+            sine_wav(path, seconds=0.73, rate=rate)
+            rows.append(ManifestRow(str(path), "аб в"))
+        manifest = tmp_path / "wavs.jsonl"
+        write_manifest(rows, manifest)
         out_dir = tmp_path / "feat"
-        code, _ = run_json(capsys, [
-            "features", "--manifest", str(manifest), "--out-dir", str(out_dir),
-            "--config", str(cfg_path),
-        ])
+        code, _ = run_json(capsys, ["features", "--manifest", str(manifest),
+                                    "--out-dir", str(out_dir)])
         assert code == 0
-        from ctcx import read_feature_cache
-        assert read_feature_cache(out_dir / "utt0.mfcc").shape[1] == 7
-
-    def test_bad_config_field_is_a_data_error(self, tmp_path, capsys):
-        manifest = self.build_wav_manifest(tmp_path, n=1)
-        cfg_path = tmp_path / "feat.json"
-        cfg_path.write_text(json.dumps({"coefficients": 7}))
-        code = main(["features", "--manifest", str(manifest),
-                     "--out-dir", str(tmp_path / "f"), "--config", str(cfg_path)])
-        assert code == 2
+        utterances, dropped = load_dataset(rows, TOY)
+        assert dropped == []
+        for row, utt in zip(rows, utterances):
+            cached = read_feature_cache(out_dir / (Path(row.audio).stem + ".mfcc"))
+            code, decoded = run_json(capsys, ["decode", "--checkpoint", str(ckpt),
+                                              "--wav", row.audio])
+            assert code == 0
+            assert cached.shape[0] == decoded["frames"] == utt.features.shape[0]
 
 
 def train_argv(toy_env, out_dir, *extra):

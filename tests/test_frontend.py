@@ -4,7 +4,6 @@ import pytest
 from ctcx import (
     AudioClip,
     FeatureConfig,
-    FeatureMatrix,
     ManifestRow,
     WavFormatError,
     feature_normalize,
@@ -21,7 +20,6 @@ from ctcx import (
 from ctcx.frontend import (
     LOG_FLOOR,
     dct_matrix,
-    duration_filter,
     feature_cache_header,
     hz_to_mel,
     mel_filterbank,
@@ -221,18 +219,18 @@ class TestMfcc:
 class TestFeatureNormalize:
     def test_zero_mean_unit_variance(self, rng):
         values = rng.standard_normal((50, 13)) * 3 + 1
-        out = feature_normalize(FeatureMatrix(values, FeatureConfig())).values
+        out = feature_normalize(values)
         np.testing.assert_allclose(out.mean(axis=0), 0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1, atol=1e-12)
 
     def test_constant_column_becomes_zero(self, rng):
         values = rng.standard_normal((50, 3))
         values[:, 1] = 7.0
-        out = feature_normalize(FeatureMatrix(values, FeatureConfig())).values
+        out = feature_normalize(values)
         np.testing.assert_array_equal(out[:, 1], np.zeros(50))
 
     def test_single_frame_becomes_zero(self):
-        out = feature_normalize(FeatureMatrix(np.ones((1, 4)), FeatureConfig())).values
+        out = feature_normalize(np.ones((1, 4)))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
 
@@ -248,19 +246,34 @@ class TestFeatureCache:
         write_feature_cache(rng.standard_normal((17, 13)), path)
         assert feature_cache_header(path) == (17, 13)
 
+    # both readers share one check of the magic, the version and the byte size
+    READERS = (read_feature_cache, feature_cache_header)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.mfcc"
         path.write_bytes(b"JUNK" + b"\0" * 32)
-        with pytest.raises(ValueError, match="not a feature cache"):
-            read_feature_cache(path)
+        for reader in self.READERS:
+            with pytest.raises(ValueError, match="not a feature cache"):
+                reader(path)
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
         path = tmp_path / "x.mfcc"
         write_feature_cache(rng.standard_normal((17, 13)), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError):
-            read_feature_cache(path)
+        for reader in self.READERS:
+            with pytest.raises(ValueError, match="expected 900 bytes, found 892"):
+                reader(path)
+
+    def test_later_version_rejected(self, tmp_path, rng):
+        path = tmp_path / "x.mfcc"
+        write_feature_cache(rng.standard_normal((17, 13)), path)
+        raw = bytearray(path.read_bytes())
+        raw[4] = 2
+        path.write_bytes(bytes(raw))
+        for reader in self.READERS:
+            with pytest.raises(ValueError, match="unsupported feature cache version 2"):
+                reader(path)
 
 
 class TestManifest:
@@ -293,16 +306,3 @@ class TestManifest:
         path.write_text('{"audio": "a.wav", "text": "x"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=match):
             read_manifest(path)
-
-    def test_duration_filter_keeps_the_boundary(self):
-        rows = [
-            ManifestRow("a.wav", "x", 15.0),
-            ManifestRow("b.wav", "y", 15.0001),
-            ManifestRow("c.wav", "z", 3.0),
-        ]
-        kept = duration_filter(rows)
-        assert [r.audio for r in kept] == ["a.wav", "c.wav"]
-
-    def test_duration_filter_requires_durations(self):
-        with pytest.raises(ValueError, match="no duration"):
-            duration_filter([ManifestRow("a.wav", "x", None)])

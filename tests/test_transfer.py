@@ -133,6 +133,14 @@ MALFORMED_HEADERS = [
     ("non-integer-offset", lambda h: edit_entry(h, 0, offset=0.0), "has offset 0.0"),
     ("negative-offset", lambda h: edit_entry(h, 0, offset=-64), "has offset -64"),
     ("overlapping-offset", lambda h: edit_entry(h, 1, offset=0), "has offset 0,"),
+    ("alphabet-too-short", lambda h: {**h, "alphabet_symbols": "абвгд "},
+     "has 7 classes, config says 35"),
+    ("alphabet-list", lambda h: {**h, "alphabet_symbols": list(h["alphabet_symbols"])},
+     "string alphabet_name and alphabet_symbols"),
+    ("alphabet-missing", lambda h: {k: v for k, v in h.items() if k != "alphabet_symbols"},
+     "string alphabet_name and alphabet_symbols"),
+    ("alphabet-duplicate", lambda h: {**h, "alphabet_symbols": "б" + h["alphabet_symbols"][1:]},
+     "duplicate symbols"),
 ]
 
 
