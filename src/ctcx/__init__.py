@@ -36,7 +36,6 @@ from .network import (
     forward,
     init_params,
     log_softmax,
-    named_tensors,
     recurrent_hidden_outputs,
     tensor_spec,
 )
@@ -74,7 +73,6 @@ from .transfer import (
     TransferVerificationError,
     VerifyReport,
     checkpoint_from_params,
-    load_checkpoint,
     params_from_checkpoint,
     read_checkpoint,
     save_checkpoint,

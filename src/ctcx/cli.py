@@ -209,6 +209,7 @@ def cmd_features(args) -> int:
     jobs = []
     out_rows = []
     skipped = 0
+    sources = {}  # cache path -> the WAV it is extracted from
     for row in rows:
         src = Path(row.audio)
         if src.suffix == ".mfcc":
@@ -216,8 +217,11 @@ def cmd_features(args) -> int:
             skipped += 1
             continue
         cache = out_dir / (src.stem + ".mfcc")
+        other = sources.setdefault(cache, src)
+        if other.resolve() != src.resolve():
+            raise DataError(f"{other} and {src} would both be cached as {cache}")
         out_rows.append(ManifestRow(str(cache), row.text, row.duration_s))
-        if cache.exists() and src.exists() and cache.stat().st_mtime >= src.stat().st_mtime:
+        if _cache_is_fresh(cache, src):
             skipped += 1
             continue
         jobs.append((src, cache))
@@ -250,6 +254,15 @@ def cmd_features(args) -> int:
             print(f"ctcx: failed {f['audio']}: {f['error']}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
+
+
+def _cache_is_fresh(cache: Path, src: Path) -> bool:
+    """A readable cache that is not older than its WAV."""
+    try:
+        feature_cache_header(cache)
+        return cache.stat().st_mtime >= src.stat().st_mtime
+    except (OSError, ValueError):  # missing or unreadable: extract again
+        return False
 
 
 def _try(fn, arg) -> str | None:

@@ -112,11 +112,6 @@ class ModelParams:
         return tuple(self.tensors[f"{prefix}.{kind}"] for kind in kinds)
 
 
-def named_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Tensors in canonical checkpoint order; arrays are live views."""
-    return list(params.tensors.items())
-
-
 def validate_params(params: ModelParams, cfg: ModelConfig) -> None:
     spec = tensor_spec(cfg)
     if params.spec != spec:

@@ -426,24 +426,31 @@ def run_experiment_matrix(
     warnings: list[str] = []
     finals: dict[tuple[str, str], MetricsRow] = {}
 
-    for arch in ("lstm", "bilstm"):
-        model_cfg = ModelConfig(
+    model_cfgs = {
+        arch: ModelConfig(
             feature_dim=feature_dim,
             num_classes=alphabet.num_classes,
             hidden=hidden,
             num_layers=2,
             bidirectional=(arch == "bilstm"),
         )
+        for arch in ("lstm", "bilstm")
+    }
+    # every source is transferred before the first run, so a misfit fails fast
+    transferred = {
+        arch: transfer_weights(source_checkpoints[arch], model_cfg, alphabet, cfg.seed)[0]
+        for arch, model_cfg in model_cfgs.items() if arch in source_checkpoints
+    }
+    for arch, model_cfg in model_cfgs.items():
         for init in ("random", "transfer"):
             if init == "transfer":
-                source = source_checkpoints.get(arch)
-                if source is None:
+                if arch not in transferred:
                     warnings.append(
                         f"no source checkpoint for {ARCH_NAMES[arch]}; transfer row skipped"
                     )
                     continue
-                params, _ = transfer_weights(source, model_cfg, alphabet, cfg.seed)
-                name = f"{ARCH_NAMES[arch]} with {source.alphabet_name} model"
+                params = transferred[arch]
+                name = f"{ARCH_NAMES[arch]} with {source_checkpoints[arch].alphabet_name} model"
             else:
                 params = None
                 name = ARCH_NAMES[arch]

@@ -2,12 +2,13 @@
 
 File layout: magic ``CTCX``, u32 version, u32 header length, UTF-8 JSON
 header (model config, alphabet, tensor table with names/shapes/offsets),
-zero padding to a 64-byte boundary, then raw little-endian float32 tensor
-payloads in table order. Offsets are relative to the payload base.
+zero padding to a 64-byte boundary, then the payload: the model's flat
+parameter vector as raw little-endian float32, so the tensors follow each
+other in ``tensor_spec`` order. Offsets are relative to the payload base.
 
-Transfer copies every ``layer*`` tensor verbatim into a freshly built
-target model and reinitializes only the dense head, whose row count is the
-target alphabet's class count.
+Transfer copies the recurrent prefix of that vector (every ``layer*``
+tensor) verbatim into a freshly built target model and reinitializes only
+the dense head, whose row count is the target alphabet's class count.
 """
 from __future__ import annotations
 
@@ -53,11 +54,16 @@ class Checkpoint:
     model_config: ModelConfig
     alphabet_name: str
     alphabet_symbols: str
-    tensors: list[tuple[str, np.ndarray]]  # float32 arrays in canonical order
+    payload: np.ndarray  # float32 parameter vector in tensor_spec(model_config) order
 
     @property
     def alphabet(self) -> Alphabet:
         return Alphabet(self.alphabet_name, tuple(self.alphabet_symbols))
+
+    @property
+    def tensors(self) -> list[tuple[str, np.ndarray]]:
+        """(name, view of the payload) pairs in canonical order."""
+        return tensor_views(tensor_spec(self.model_config), self.payload)
 
 
 def _config_to_dict(cfg: ModelConfig) -> dict:
@@ -71,19 +77,18 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
 
 
 def _config_from_dict(d) -> ModelConfig:
+    """The header's model config: JSON integers, and a JSON bool for ``bidirectional``."""
     if not isinstance(d, dict):
         raise CheckpointError("header config is not a JSON object")
+    fields = ("feature_dim", "num_classes", "hidden", "num_layers", "bidirectional")
+    for name in fields:
+        if name not in d:
+            raise CheckpointError(f"header config missing field {name!r}")
+        if not (isinstance(d[name], bool) if name == "bidirectional" else _is_int(d[name])):
+            raise CheckpointError(f"bad header config: {name} is {d[name]!r}")
     try:
-        return ModelConfig(
-            feature_dim=int(d["feature_dim"]),
-            num_classes=int(d["num_classes"]),
-            hidden=int(d["hidden"]),
-            num_layers=int(d["num_layers"]),
-            bidirectional=bool(d["bidirectional"]),
-        )
-    except KeyError as e:
-        raise CheckpointError(f"header config missing field {e}") from None
-    except (TypeError, ValueError) as e:
+        return ModelConfig(**{name: d[name] for name in fields})
+    except ValueError as e:
         raise CheckpointError(f"bad header config: {e}") from None
 
 
@@ -100,19 +105,20 @@ def checkpoint_from_params(
             f"alphabet {alphabet.name!r} has {alphabet.num_classes} classes, "
             f"config says {cfg.num_classes}"
         )
-    tensors = tensor_views(params.spec, params.vector.astype("<f4"))
-    return Checkpoint(CHECKPOINT_VERSION, cfg, alphabet.name, "".join(alphabet.symbols), tensors)
+    payload = params.vector.astype("<f4")
+    return Checkpoint(CHECKPOINT_VERSION, cfg, alphabet.name, "".join(alphabet.symbols), payload)
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     table = []
     offset = 0
-    blobs = []
-    for name, arr in ckpt.tensors:
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+    for name, shape in tensor_spec(ckpt.model_config):
+        table.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * math.prod(shape)
+    if ckpt.payload.shape != (offset // 4,):
+        raise ValueError(
+            f"payload of shape {ckpt.payload.shape} does not hold {offset // 4} values"
+        )
     header = json.dumps(
         {
             "config": _config_to_dict(ckpt.model_config),
@@ -124,7 +130,8 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     ).encode("utf-8")
     prefix = CHECKPOINT_MAGIC + struct.pack("<II", ckpt.format_version, len(header)) + header
     pad = (-len(prefix)) % _ALIGN
-    Path(path).write_bytes(prefix + b"\0" * pad + b"".join(blobs))
+    payload = np.ascontiguousarray(ckpt.payload, dtype="<f4").tobytes()
+    Path(path).write_bytes(prefix + b"\0" * pad + payload)
 
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, alphabet: Alphabet, path) -> None:
@@ -200,32 +207,11 @@ def read_checkpoint(path) -> Checkpoint:
         if base + end > len(raw):
             raise CheckpointError(f"{path}: truncated payload for tensor {name}")
     payload = np.frombuffer(raw, dtype="<f4", count=end // 4, offset=base)
-    return Checkpoint(version, cfg, alphabet_name, alphabet_symbols, tensor_views(expected, payload))
+    return Checkpoint(version, cfg, alphabet_name, alphabet_symbols, payload)
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
-    spec = [(name, arr.shape) for name, arr in ckpt.tensors]
-    vector = np.concatenate([arr.ravel() for _, arr in ckpt.tensors]).astype(np.float64)
-    return ModelParams(spec, vector)
-
-
-def load_checkpoint(path, expect: ModelConfig | None = None):
-    """Read a checkpoint; returns (params, config, alphabet_name).
-
-    With ``expect`` given, every tensor shape is checked against the
-    expected config and the first mismatch is reported by name.
-    """
-    ckpt = read_checkpoint(path)
-    if expect is not None:
-        want = dict(tensor_spec(expect))
-        for name, arr in ckpt.tensors:
-            if name not in want:
-                raise CheckpointError(f"{path}: unexpected tensor {name}")
-            if arr.shape != want[name]:
-                raise CheckpointError(
-                    f"{path}: tensor {name} has shape {arr.shape}, expected {want[name]}"
-                )
-    return params_from_checkpoint(ckpt), ckpt.model_config, ckpt.alphabet_name
+    return ModelParams(tensor_spec(ckpt.model_config), ckpt.payload.astype(np.float64))
 
 
 @dataclass
@@ -251,8 +237,8 @@ def transfer_weights(
     """Copy the source's recurrent layers into a fresh target model.
 
     The dense head is never read from the source; it is reinitialized with
-    the target alphabet's class count. Any recurrent shape mismatch aborts
-    with no partial transfer.
+    the target alphabet's class count. Any recurrent geometry mismatch
+    aborts with no partial transfer.
     """
     src_cfg = source.model_config
     for field_name in ("hidden", "num_layers", "bidirectional", "feature_dim"):
@@ -268,25 +254,18 @@ def transfer_weights(
             f"{target_alphabet.name!r} needs {target_alphabet.num_classes}"
         )
 
+    # equal geometry gives both models the same recurrent prefix; the head follows it
     params = init_params(replace(target_cfg, seed=seed))
-    copied = []
-    for name, arr in source.tensors:
-        if not name.startswith("layer"):
-            continue
-        if params.tensors[name].shape != arr.shape:
-            raise TransferError(
-                f"recurrent tensor {name} has source shape {arr.shape}, "
-                f"target shape {params.tensors[name].shape}"
-            )
-        params.tensors[name][...] = arr
-        copied.append(name)
+    reinit = ("dense.w", "dense.b")
+    recurrent = params.vector.size - params.dense_w.size - params.dense_b.size
+    params.vector[:recurrent] = source.payload[:recurrent]
 
     reason = (
         f"output dimension mismatch: source {src_cfg.num_classes} classes "
         f"!= target {target_cfg.num_classes} classes"
     )
-    reinit = ("dense.w", "dense.b")
-    report = TransferReport(tuple(copied), reinit, {name: reason for name in reinit})
+    copied = tuple(name for name in params.tensors if name not in reinit)
+    report = TransferReport(copied, reinit, {name: reason for name in reinit})
     return params, report
 
 

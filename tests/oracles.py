@@ -12,7 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 from ctcx import ctc_forward_backward, forward, log_softmax
-from ctcx.network import named_tensors
 
 
 def oracle_edit_distance(ref, hyp) -> int:
@@ -75,7 +74,7 @@ def network_fd_grads(params, cfg, feats, labels, train_mode: bool,
         return ctc_forward_backward(log_softmax(logits), labels).neg_log_likelihood
 
     out = []
-    for name, theta in named_tensors(params):
+    for name, theta in params.tensors.items():
         grad = np.zeros_like(theta)
         flat = theta.reshape(-1)
         gflat = grad.reshape(-1)

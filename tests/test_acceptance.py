@@ -25,11 +25,11 @@ from ctcx import (
     greedy_decode,
     init_params,
     label_error_rate,
-    load_checkpoint,
     log_softmax,
     make_corpus,
     mfcc,
-    named_tensors,
+    params_from_checkpoint,
+    read_checkpoint,
     save_checkpoint,
     train,
     transfer_weights,
@@ -142,7 +142,7 @@ def test_04_network_gradients_match_finite_differences(bidirectional):
     labels = (0, 2)
     logits, cache = forward(params, cfg, feats, train_mode=True, dropout_seed=11)
     res = ctc_forward_backward(log_softmax(logits), labels)
-    analytic = list(named_tensors(backward(params, cfg, cache, res.dlogits)))
+    analytic = list(backward(params, cfg, cache, res.dlogits).tensors.items())
     numeric = network_fd_grads(params, cfg, feats, labels, train_mode=True, dropout_seed=11)
     worst = max_relative_error(analytic, numeric)
     assert worst <= 1e-4, f"worst relative BPTT error {worst:g}"
@@ -196,7 +196,7 @@ def test_07_transfer_preserves_recurrent_stack_bit_for_bit(bidirectional):
     verdict = verify_transfer(src_params, moved, src_cfg, probes)
     assert verdict.ok and verdict.max_abs_deviation == 0.0
 
-    names = {name for name, _ in named_tensors(moved)}
+    names = set(moved.tensors)
     assert set(report.copied) | set(report.reinitialized) == names
     assert not set(report.copied) & set(report.reinitialized)
 
@@ -219,10 +219,12 @@ def test_08_checkpoints_round_trip_bit_identical(tmp_path):
         params = init_params(cfg)
         path = tmp_path / f"m{i}.ckpt"
         save_checkpoint(params, cfg, alphabet, path)
-        loaded, loaded_cfg, name = load_checkpoint(path)
+        ckpt = read_checkpoint(path)
+        loaded = params_from_checkpoint(ckpt)
+        loaded_cfg, name = ckpt.model_config, ckpt.alphabet_name
         assert name == alphabet.name
         assert (loaded_cfg.hidden, loaded_cfg.bidirectional) == (cfg.hidden, cfg.bidirectional)
-        for (n1, a), (n2, b) in zip(named_tensors(params), named_tensors(loaded)):
+        for (n1, a), (n2, b) in zip(params.tensors.items(), loaded.tensors.items()):
             assert n1 == n2
             np.testing.assert_array_equal(a, b, err_msg=f"model {i} tensor {n1}")
 

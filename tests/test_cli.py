@@ -226,6 +226,47 @@ class TestFeatures:
         assert code == 0
         assert payload["written"] == 0 and payload["skipped"] == 2
 
+    def test_truncated_cache_is_rebuilt(self, tmp_path, capsys):
+        manifest = self.build_wav_manifest(tmp_path, n=1)
+        argv = ["features", "--manifest", str(manifest), "--out-dir", str(tmp_path / "feat")]
+        run_json(capsys, argv)
+        cache = tmp_path / "feat" / "utt0.mfcc"
+        good = cache.read_bytes()
+        cache.write_bytes(good[:50])  # newer than the WAV, but unreadable
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert payload["written"] == 1 and payload["skipped"] == 0
+        assert cache.read_bytes() == good
+        assert read_feature_cache(cache).shape[1] == FeatureConfig().n_mfcc
+
+    def test_same_stem_in_two_folders_is_a_data_error(self, tmp_path, capsys):
+        rows = []
+        for speaker, seconds in (("spk1", 0.5), ("spk2", 1.0)):
+            (tmp_path / speaker).mkdir()
+            sine_wav(tmp_path / speaker / "001.wav", seconds=seconds)
+            rows.append(ManifestRow(str(tmp_path / speaker / "001.wav"), "аб"))
+        write_manifest(rows, tmp_path / "m.jsonl")
+        out_dir = tmp_path / "feat"
+        code = main(["features", "--manifest", str(tmp_path / "m.jsonl"),
+                     "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(tmp_path / "spk1" / "001.wav") in err
+        assert str(tmp_path / "spk2" / "001.wav") in err
+        assert not (out_dir / "001.mfcc").exists()
+
+    def test_same_wav_listed_twice_is_not_a_conflict(self, tmp_path, capsys):
+        wav = tmp_path / "a.wav"
+        sine_wav(wav)
+        write_manifest([ManifestRow(str(wav), "аб"), ManifestRow(str(wav), "ба")],
+                       tmp_path / "m.jsonl")
+        out_dir = tmp_path / "feat"
+        code, _ = run_json(capsys, ["features", "--manifest", str(tmp_path / "m.jsonl"),
+                                    "--out-dir", str(out_dir)])
+        assert code == 0
+        rows = read_manifest(out_dir / "manifest.jsonl")
+        assert [r.audio for r in rows] == [str(out_dir / "a.mfcc")] * 2
+
     def test_corrupt_wav_reported_per_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
         bad.write_text("this is not audio")
@@ -449,6 +490,15 @@ class TestExperimentCommand:
         assert lines[1].startswith("LSTM | ")
         assert lines[2].startswith("BiLSTM | ")
         assert any(w.startswith("warning: no source checkpoint") for w in lines)
+
+    def test_misfit_source_fails_before_any_training(self, tmp_path, toy_env, capsys):
+        src = tmp_path / "lstm.ckpt"
+        toy_checkpoint(src, hidden=8)  # the run trains at --hidden 4
+        out = tmp_path / "exp"
+        code = main(experiment_argv(toy_env, out, "--source-checkpoint", str(src)))
+        assert code == 2
+        assert "hidden=8" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
 
     def test_duplicate_arch_sources_rejected(self, tmp_path, toy_env, capsys):
         src = tmp_path / "lstm.ckpt"

@@ -8,7 +8,6 @@ from ctcx import (
     forward,
     init_params,
     log_softmax,
-    named_tensors,
     recurrent_hidden_outputs,
     tensor_spec,
 )
@@ -52,7 +51,7 @@ class TestTensorLayout:
     def test_named_tensors_follow_spec_order(self):
         cfg = small_cfg(bidirectional=True)
         params = init_params(cfg)
-        assert [n for n, _ in named_tensors(params)] == [n for n, _ in tensor_spec(cfg)]
+        assert list(params.tensors) == [n for n, _ in tensor_spec(cfg)]
 
     def test_validate_catches_shape_drift(self):
         params = init_params(small_cfg())
@@ -64,7 +63,7 @@ class TestTensorLayout:
 class TestInit:
     def test_forget_gate_bias_is_one_rest_zero(self):
         params = init_params(small_cfg())
-        for name, bias in named_tensors(params):
+        for name, bias in params.tensors.items():
             if not name.endswith(".bias"):
                 continue
             h = len(bias) // 4
@@ -75,7 +74,7 @@ class TestInit:
     def test_weights_within_glorot_bound(self):
         cfg = small_cfg(bidirectional=True)
         params = init_params(cfg)
-        for name, arr in named_tensors(params):
+        for name, arr in params.tensors.items():
             if name.endswith(("bias", ".b")):
                 continue
             fan_out, fan_in = arr.shape
@@ -84,18 +83,18 @@ class TestInit:
 
     def test_values_sit_on_the_float32_grid(self):
         params = init_params(small_cfg(seed=11))
-        for _, arr in named_tensors(params):
+        for _, arr in params.tensors.items():
             np.testing.assert_array_equal(arr, arr.astype(np.float32).astype(np.float64))
 
     def test_seed_determinism(self):
         a = init_params(small_cfg(seed=5))
         b = init_params(small_cfg(seed=5))
         c = init_params(small_cfg(seed=6))
-        for (_, x), (_, y) in zip(named_tensors(a), named_tensors(b)):
+        for (_, x), (_, y) in zip(a.tensors.items(), b.tensors.items()):
             np.testing.assert_array_equal(x, y)
         assert any(
             not np.array_equal(x, y)
-            for (_, x), (_, y) in zip(named_tensors(a), named_tensors(c))
+            for (_, x), (_, y) in zip(a.tensors.items(), c.tensors.items())
         )
 
 
@@ -139,7 +138,7 @@ class TestGateEquations:
         for out in hidden:
             np.testing.assert_array_equal(out, expected)
         assert np.all(np.isfinite(logits)) and np.all(np.isfinite(grads.vector))
-        for name, g in named_tensors(grads):
+        for name, g in grads.tensors.items():
             if name.startswith("layer"):
                 assert not g.any(), f"{name}: a saturated gate passes no gradient"
         assert grads.dense_w.any()
@@ -275,7 +274,7 @@ class TestBackward:
         logits, cache = forward(params, cfg, x)
         res = ctc_forward_backward(log_softmax(logits), [0, 1])
         grads = backward(params, cfg, cache, res.dlogits)
-        for (n1, p), (n2, g) in zip(named_tensors(params), named_tensors(grads)):
+        for (n1, p), (n2, g) in zip(params.tensors.items(), grads.tensors.items()):
             assert n1 == n2 and p.shape == g.shape
 
     @pytest.mark.parametrize("bidirectional", [False, True])
@@ -287,7 +286,7 @@ class TestBackward:
         labels = [0, 2]
         logits, cache = forward(params, cfg, x, train_mode=False)
         res = ctc_forward_backward(log_softmax(logits), labels)
-        analytic = [(n, g) for n, g in named_tensors(backward(params, cfg, cache, res.dlogits))]
+        analytic = list(backward(params, cfg, cache, res.dlogits).tensors.items())
         numeric = network_fd_grads(params, cfg, x, labels, train_mode=False, dropout_seed=0)
         assert max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
 
@@ -296,7 +295,7 @@ class TestZerosLike:
     def test_matches_structure(self):
         params = init_params(small_cfg(bidirectional=True))
         zeros = zeros_like_params(params)
-        for (n1, p), (n2, z) in zip(named_tensors(params), named_tensors(zeros)):
+        for (n1, p), (n2, z) in zip(params.tensors.items(), zeros.tensors.items()):
             assert n1 == n2
             assert z.shape == p.shape
             assert not z.any()

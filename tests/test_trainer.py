@@ -16,7 +16,6 @@ from ctcx import (
     init_params,
     load_dataset,
     momentum_step,
-    named_tensors,
     run_experiment_matrix,
     save_wav,
     split_dataset,
@@ -126,7 +125,7 @@ class TestSplitDataset:
 class TestGradientClipping:
     def test_large_gradients_scaled_to_max_norm(self):
         grads, _ = tiny_params()
-        for _, g in named_tensors(grads):
+        for _, g in grads.tensors.items():
             g += 100.0
         pre = clip_gradients(grads, 5.0)
         assert pre > 5.0
@@ -134,11 +133,11 @@ class TestGradientClipping:
 
     def test_small_gradients_untouched(self):
         grads, _ = tiny_params()
-        for _, g in named_tensors(grads):
+        for _, g in grads.tensors.items():
             g[...] = 0.001
         before = copy_params(grads)
         clip_gradients(grads, 5.0)
-        for (_, a), (_, b) in zip(named_tensors(before), named_tensors(grads)):
+        for (_, a), (_, b) in zip(before.tensors.items(), grads.tensors.items()):
             np.testing.assert_array_equal(a, b)
 
 
@@ -150,7 +149,7 @@ class TestMomentumStep:
         state = OptimizerState(zeros_like_params(params))
         cfg = TrainConfig(learning_rate=1.0, momentum=0.0, grad_clip_norm=None)
         assert momentum_step(params, grads, state, cfg)
-        for _, theta in named_tensors(params):
+        for _, theta in params.tensors.items():
             np.testing.assert_array_equal(theta, np.zeros_like(theta))
 
     def test_zero_gradient_is_a_noop(self):
@@ -158,7 +157,7 @@ class TestMomentumStep:
         before = copy_params(params)
         state = OptimizerState(zeros_like_params(params))
         momentum_step(params, zeros_like_params(params), state, TrainConfig())
-        for (_, a), (_, b) in zip(named_tensors(before), named_tensors(params)):
+        for (_, a), (_, b) in zip(before.tensors.items(), params.tensors.items()):
             np.testing.assert_array_equal(a, b)
 
     def test_velocity_accumulates_over_steps(self):
@@ -171,11 +170,11 @@ class TestMomentumStep:
         g_value = 0.125  # exact in binary, keeps the check tight
         for _ in range(2):
             grads = zeros_like_params(params)
-            for _, g in named_tensors(grads):
+            for _, g in grads.tensors.items():
                 g[...] = g_value
             momentum_step(params, grads, state, cfg)
         expected_delta = -cfg.learning_rate * (g_value + (0.9 * g_value + g_value))
-        for (_, a), (_, b) in zip(named_tensors(before), named_tensors(params)):
+        for (_, a), (_, b) in zip(before.tensors.items(), params.tensors.items()):
             np.testing.assert_allclose(b - a, expected_delta, rtol=1e-12)
 
     def test_non_finite_gradient_skips_step(self, caplog):
@@ -188,20 +187,20 @@ class TestMomentumStep:
             ok = momentum_step(params, grads, state, TrainConfig())
         assert not ok
         assert "non-finite" in caplog.text and "dense.w" in caplog.text
-        for (_, a), (_, b) in zip(named_tensors(before), named_tensors(params)):
+        for (_, a), (_, b) in zip(before.tensors.items(), params.tensors.items()):
             np.testing.assert_array_equal(a, b)
 
     def test_clipping_applied_before_update(self):
         params, _ = tiny_params()
         before = copy_params(params)
         grads = zeros_like_params(params)
-        for _, g in named_tensors(grads):
+        for _, g in grads.tensors.items():
             g += 1000.0
         state = OptimizerState(zeros_like_params(params))
         cfg = TrainConfig(learning_rate=1.0, momentum=0.0)
         momentum_step(params, grads, state, cfg)
         moved = 0.0
-        for (_, a), (_, b) in zip(named_tensors(before), named_tensors(params)):
+        for (_, a), (_, b) in zip(before.tensors.items(), params.tensors.items()):
             moved += float(np.sum((a - b) ** 2))
         assert math.sqrt(moved) == pytest.approx(5.0, rel=1e-9)
 
@@ -221,7 +220,7 @@ class TestTrainEpoch:
         assert 0.0 <= ler
         changed = any(
             not np.array_equal(a, b)
-            for (_, a), (_, b) in zip(named_tensors(before), named_tensors(params))
+            for (_, a), (_, b) in zip(before.tensors.items(), params.tensors.items())
         )
         assert changed
 
@@ -235,7 +234,7 @@ class TestTrainEpoch:
             tc = TrainConfig(dropout_keep=0.8, seed=5)
             results.append((train_epoch(params, cfg, data, tc, state, 1), params))
         assert results[0][0] == results[1][0]
-        for (_, a), (_, b) in zip(named_tensors(results[0][1]), named_tensors(results[1][1])):
+        for (_, a), (_, b) in zip(results[0][1].tensors.items(), results[1][1].tensors.items()):
             np.testing.assert_array_equal(a, b)
 
     def test_short_final_batch_uses_actual_size(self, toy):
@@ -258,7 +257,7 @@ class TestTrainEpoch:
         state = OptimizerState(zeros_like_params(params))
         tc = TrainConfig(learning_rate=0.0, dropout_keep=1.0)
         train_epoch(params, cfg, data, tc, state, 1)
-        for (_, a), (_, b) in zip(named_tensors(before), named_tensors(params)):
+        for (_, a), (_, b) in zip(before.tensors.items(), params.tensors.items()):
             np.testing.assert_array_equal(a, b)
 
     def test_empty_dataset_rejected(self, toy):

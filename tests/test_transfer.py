@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from ctcx import (
     checkpoint_from_params,
     forward,
     init_params,
-    load_checkpoint,
-    named_tensors,
+    params_from_checkpoint,
     read_checkpoint,
     recurrent_hidden_outputs,
     save_checkpoint,
     transfer_weights,
     verify_transfer,
+    write_checkpoint,
 )
 from ctcx.cli import main as cli_main
 
@@ -44,7 +45,9 @@ class TestCheckpointRoundTrip:
         params = init_params(cfg)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, cfg, ru, path)
-        loaded, loaded_cfg, name = load_checkpoint(path)
+        ckpt = read_checkpoint(path)
+        loaded = params_from_checkpoint(ckpt)
+        loaded_cfg, name = ckpt.model_config, ckpt.alphabet_name
         assert loaded_cfg == ModelConfig(
             feature_dim=cfg.feature_dim,
             num_classes=cfg.num_classes,
@@ -53,9 +56,16 @@ class TestCheckpointRoundTrip:
             bidirectional=cfg.bidirectional,
         )
         assert name == "ru"
-        for (n1, a), (n2, b) in zip(named_tensors(params), named_tensors(loaded)):
+        for (n1, a), (n2, b) in zip(params.tensors.items(), loaded.tensors.items()):
             assert n1 == n2
             np.testing.assert_array_equal(a, b, err_msg=n1)
+
+    def test_payload_must_fill_the_config(self, tmp_path, ru):
+        cfg = small_cfg(num_classes=ru.num_classes)
+        ckpt = checkpoint_from_params(init_params(cfg), cfg, ru)
+        with pytest.raises(ValueError, match="does not hold"):
+            write_checkpoint(replace(ckpt, payload=ckpt.payload[:-1]), tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_alphabet_symbols_embedded(self, tmp_path, kk):
         cfg = small_cfg(num_classes=kk.num_classes)
@@ -124,6 +134,14 @@ MALFORMED_HEADERS = [
      "config is not a JSON object"),
     ("config-non-integer", lambda h: {**h, "config": {**h["config"], "hidden": [6]}},
      "bad header config"),
+    ("config-infinite", lambda h: {**h, "config": {**h["config"], "hidden": float("inf")}},
+     "bad header config: hidden is inf"),
+    ("config-fractional", lambda h: {**h, "config": {**h["config"], "num_layers": 2.5}},
+     "bad header config: num_layers is 2.5"),
+    ("config-string-integer", lambda h: {**h, "config": {**h["config"], "feature_dim": "5"}},
+     "bad header config: feature_dim is '5'"),
+    ("config-string-bool", lambda h: {**h, "config": {**h["config"], "bidirectional": "true"}},
+     "bad header config: bidirectional is 'true'"),
     ("table-of-names", lambda h: {**h, "tensors": [e["name"] for e in h["tensors"]]},
      "not a list of JSON objects"),
     ("missing-name", lambda h: edit_entry(h, 0, name=None), "does not match"),
@@ -215,16 +233,6 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="layer1.fwd.w_input"):
             read_checkpoint(path)
 
-    def test_expect_config_mismatch_names_tensor(self, tmp_path, ru):
-        path, cfg = self.write_valid(tmp_path, ru)
-        other = small_cfg(num_classes=ru.num_classes, hidden=12)
-        with pytest.raises(CheckpointError, match="layer1.fwd.w_input"):
-            load_checkpoint(path, expect=other)
-
-    def test_expect_matching_config_passes(self, tmp_path, ru):
-        path, cfg = self.write_valid(tmp_path, ru)
-        load_checkpoint(path, expect=cfg)
-
 
 class TestTransferWeights:
     def setup_pair(self, ru, kk, bidirectional=False, hidden=6):
@@ -242,15 +250,15 @@ class TestTransferWeights:
         src_params, ckpt, tgt_cfg = self.setup_pair(ru, kk, bidirectional=True)
         params, report = transfer_weights(ckpt, tgt_cfg, kk, seed=5)
         assert len(report.copied) == 12
-        src = dict(named_tensors(src_params))
-        tgt = dict(named_tensors(params))
+        src = src_params.tensors
+        tgt = params.tensors
         for name in report.copied:
             np.testing.assert_array_equal(src[name], tgt[name], err_msg=name)
 
     def test_report_partitions_tensor_set(self, ru, kk):
         _, ckpt, tgt_cfg = self.setup_pair(ru, kk)
         params, report = transfer_weights(ckpt, tgt_cfg, kk, seed=5)
-        all_names = {name for name, _ in named_tensors(params)}
+        all_names = set(params.tensors)
         assert set(report.copied) | set(report.reinitialized) == all_names
         assert not set(report.copied) & set(report.reinitialized)
         assert set(report.skipped_reason) == {"dense.w", "dense.b"}
@@ -268,15 +276,12 @@ class TestTransferWeights:
         _, ckpt, tgt_cfg = self.setup_pair(ru, kk)
         baseline, _ = transfer_weights(ckpt, tgt_cfg, kk, seed=2)
         # scribble over the source head and transfer again
-        mangled = [
-            (n, np.full_like(a, 9.0) if n.startswith("dense") else a) for n, a in ckpt.tensors
-        ]
-        ckpt2 = type(ckpt)(
-            ckpt.format_version, ckpt.model_config, ckpt.alphabet_name,
-            ckpt.alphabet_symbols, mangled,
-        )
+        mangled = ckpt.payload.copy()
+        dense = ckpt.model_config.num_classes * (ckpt.model_config.layer_output_dim + 1)
+        mangled[-dense:] = 9.0
+        ckpt2 = replace(ckpt, payload=mangled)
         again, _ = transfer_weights(ckpt2, tgt_cfg, kk, seed=2)
-        for (n1, a), (n2, b) in zip(named_tensors(baseline), named_tensors(again)):
+        for (n1, a), (n2, b) in zip(baseline.tensors.items(), again.tensors.items()):
             np.testing.assert_array_equal(a, b, err_msg=n1)
 
     @pytest.mark.parametrize(
