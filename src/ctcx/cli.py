@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from .ctc import beam_search_decode, greedy_decode
 from .frontend import (
     FeatureConfig,
     ManifestRow,
-    WavFormatError,
     feature_cache_header,
     feature_normalize,
     frame_count,
@@ -39,6 +38,8 @@ from .network import ModelConfig, forward, log_softmax
 from .synthetic import SynthConfig, write_corpus
 from .text_labels import Alphabet, builtin_alphabet, decode, load_alphabet, normalize_transcript
 from .trainer import (
+    ARCH_NAMES,
+    DECODERS,
     TrainConfig,
     evaluate,
     load_dataset,
@@ -48,7 +49,6 @@ from .trainer import (
     train,
 )
 from .transfer import (
-    CheckpointError,
     TransferError,
     params_from_checkpoint,
     read_checkpoint,
@@ -206,7 +206,6 @@ def cmd_features(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
     out_rows = []
     skipped = 0
     sources = {}  # cache path -> the WAV it is extracted from
@@ -221,10 +220,9 @@ def cmd_features(args) -> int:
         if other.resolve() != src.resolve():
             raise DataError(f"{other} and {src} would both be cached as {cache}")
         out_rows.append(ManifestRow(str(cache), row.text, row.duration_s))
-        if _cache_is_fresh(cache, src):
-            skipped += 1
-            continue
-        jobs.append((src, cache))
+    # one job per cache file, so a WAV listed twice is extracted once
+    jobs = [(src, cache) for cache, src in sources.items() if not _cache_is_fresh(cache, src)]
+    skipped += len(sources) - len(jobs)
 
     def extract(job):
         src, cache = job
@@ -279,19 +277,12 @@ def _try(fn, arg) -> str | None:
 
 
 def _train_config_from_args(args) -> TrainConfig:
+    """``TrainConfig`` from the parsed flags; each training flag's dest is a field name."""
+    values = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    if args.strict_paper:
+        values["grad_clip_norm"] = None
     try:
-        return TrainConfig(
-            learning_rate=args.learning_rate,
-            momentum=args.momentum,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            dropout_keep=args.dropout_keep,
-            split=args.split,
-            grad_clip_norm=None if args.strict_paper else args.grad_clip_norm,
-            seed=args.seed,
-            eval_decoder=args.eval_decoder,
-            beam_width=args.beam_width,
-        )
+        return TrainConfig(**values)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -316,7 +307,6 @@ def cmd_train(args) -> int:
         feature_dim=feature_dim,
         num_classes=alphabet.num_classes,
         hidden=args.hidden,
-        num_layers=2,
         bidirectional=(args.arch == "bilstm"),
     )
 
@@ -474,10 +464,8 @@ def cmd_experiment(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    feature_dim = utterances[0].features.shape[1]
     result = run_experiment_matrix(
-        utterances, alphabet, cfg,
-        hidden=args.hidden, feature_dim=feature_dim,
+        utterances, alphabet, cfg, hidden=args.hidden,
         source_checkpoints=sources, metrics_dir=out_dir,
     )
 
@@ -517,20 +505,21 @@ def cmd_experiment(args) -> int:
 
 
 def _add_train_flags(p: _Parser) -> None:
-    p.add_argument("--learning-rate", type=float, default=0.0005)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=_positive_int, default=4)
-    p.add_argument("--epochs", type=_positive_int, default=500)
-    p.add_argument("--dropout-keep", type=float, default=0.5)
-    p.add_argument("--split", type=_split_arg, default=(0.8, 0.1, 0.1),
-                   help="train,val,test fractions (default 0.8,0.1,0.1)")
-    p.add_argument("--grad-clip-norm", type=float, default=5.0)
+    defaults = TrainConfig()
+    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
+    p.add_argument("--momentum", type=float, default=defaults.momentum)
+    p.add_argument("--batch-size", type=_positive_int, default=defaults.batch_size)
+    p.add_argument("--epochs", type=_positive_int, default=defaults.epochs)
+    p.add_argument("--dropout-keep", type=float, default=defaults.dropout_keep)
+    p.add_argument("--split", type=_split_arg, default=defaults.split,
+                   help=f"train,val,test fractions (default {','.join(map(str, defaults.split))})")
+    p.add_argument("--grad-clip-norm", type=float, default=defaults.grad_clip_norm)
     p.add_argument("--strict-paper", action="store_true",
                    help="disable gradient clipping; train with the bare defaults")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-decoder", choices=("greedy", "beam"), default="greedy")
-    p.add_argument("--beam-width", type=_positive_int, default=8)
-    p.add_argument("--hidden", type=_positive_int, default=128)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--eval-decoder", choices=DECODERS, default=defaults.eval_decoder)
+    p.add_argument("--beam-width", type=_positive_int, default=defaults.beam_width)
+    p.add_argument("--hidden", type=_positive_int, default=ModelConfig.hidden)
 
 
 def build_parser() -> _Parser:
@@ -551,8 +540,8 @@ def build_parser() -> _Parser:
                    help="generate N synthetic utterances instead of reading --manifest")
     p.add_argument("--feature-dir", help="where synthetic feature files go")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-scale", type=float, default=0.3)
-    p.add_argument("--proto-seed", type=int, default=0)
+    p.add_argument("--noise-scale", type=float, default=SynthConfig.noise_scale)
+    p.add_argument("--proto-seed", type=int, default=SynthConfig.proto_seed)
 
     p = add("features", cmd_features, "extract MFCC cache files for a manifest")
     p.add_argument("--manifest", required=True)
@@ -562,7 +551,7 @@ def build_parser() -> _Parser:
     p = add("train", cmd_train, "train a recognizer")
     p.add_argument("--manifest", required=True)
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--arch", choices=("lstm", "bilstm"), default="bilstm")
+    p.add_argument("--arch", choices=tuple(ARCH_NAMES), default="bilstm")
     p.add_argument("--init", choices=("random", "transfer"), default="random")
     p.add_argument("--source-checkpoint", help="required with --init transfer")
     p.add_argument("--out", required=True, help="output directory")
@@ -581,14 +570,14 @@ def build_parser() -> _Parser:
     p = add("evaluate", cmd_evaluate, "cost and label error rate on a manifest")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--decoder", choices=("greedy", "beam"), default="greedy")
-    p.add_argument("--beam-width", type=_positive_int, default=8)
+    p.add_argument("--decoder", choices=DECODERS, default=TrainConfig.eval_decoder)
+    p.add_argument("--beam-width", type=_positive_int, default=TrainConfig.beam_width)
 
     p = add("decode", cmd_decode, "transcribe one WAV file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--wav", required=True)
-    p.add_argument("--decoder", choices=("greedy", "beam"), default="greedy")
-    p.add_argument("--beam-width", type=_positive_int, default=8)
+    p.add_argument("--decoder", choices=DECODERS, default=TrainConfig.eval_decoder)
+    p.add_argument("--beam-width", type=_positive_int, default=TrainConfig.beam_width)
 
     p = add("experiment", cmd_experiment, "run the 4-scenario training matrix")
     p.add_argument("--manifest", required=True)
@@ -616,8 +605,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         parser.error(str(e))  # exits with EXIT_USAGE
         raise AssertionError("unreachable")
-    except (DataError, WavFormatError, CheckpointError, TransferError,
-            FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as e:
+    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as e:
         print(f"ctcx: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # anything unexpected

@@ -10,6 +10,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -279,10 +280,17 @@ def dct_matrix(n: int) -> np.ndarray:
     return m
 
 
-def mfcc(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
+@cache
+def _mfcc_tables(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Hamming window, mel filterbank and DCT matrix of a recipe, built once."""
+    tables = (np.hamming(cfg.window_samples), mel_filterbank(cfg)[0], dct_matrix(cfg.n_mels))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Extract MFCC features; deterministic for identical input."""
-    if cfg is None:
-        cfg = FeatureConfig()
     if clip.sample_rate_hz != cfg.sample_rate_hz:
         raise ValueError(
             f"clip rate {clip.sample_rate_hz} != config rate {cfg.sample_rate_hz}; resample first"
@@ -293,15 +301,15 @@ def mfcc(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
     if len(x) < win:
         raise ValueError(f"clip of {len(x)} samples shorter than one {win}-sample window")
 
+    window, fbank, dct = _mfcc_tables(cfg)
     emphasized = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
     frames = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop]
-    frames = frames * np.hamming(win)
+    frames = frames * window
 
     power = np.abs(np.fft.rfft(frames, n=cfg.fft_size)) ** 2
-    fbank, _ = mel_filterbank(cfg)
     energies = power @ fbank.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    cepstra = log_energies @ dct_matrix(cfg.n_mels).T
+    cepstra = log_energies @ dct.T
     return FeatureMatrix(np.ascontiguousarray(cepstra[:, : cfg.n_mfcc]))
 
 

@@ -13,45 +13,47 @@ from pathlib import Path
 
 import numpy as np
 
-from .frontend import ManifestRow, write_feature_cache
+from .frontend import FeatureConfig, ManifestRow, write_feature_cache
 from .text_labels import Alphabet
+
+_FEATURES = FeatureConfig()  # synthetic frames stand in for this recipe's MFCC frames
+FRAMES_MIN = 3  # frames per symbol copy, drawn from [FRAMES_MIN, FRAMES_MAX]
+FRAMES_MAX = 5
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    feature_dim: int = 13
-    frames_min: int = 3
-    frames_max: int = 5
     noise_scale: float = 0.3
     proto_seed: int = 0
     words_min: int = 2
     words_max: int = 3
     word_len_min: int = 3
     word_len_max: int = 6
-    frame_seconds: float = 0.01  # nominal hop, used for manifest durations
 
     def __post_init__(self) -> None:
-        if not 1 <= self.frames_min <= self.frames_max:
-            raise ValueError("bad frames_min/frames_max")
         if not 1 <= self.words_min <= self.words_max:
             raise ValueError("bad words_min/words_max")
         if not 1 <= self.word_len_min <= self.word_len_max:
             raise ValueError("bad word_len_min/word_len_max")
-        if self.feature_dim <= 0 or self.noise_scale < 0:
-            raise ValueError("bad feature_dim / noise_scale")
+        if self.noise_scale < 0:
+            raise ValueError("bad noise_scale")
+
+    @property
+    def frame_seconds(self) -> float:
+        """Seconds per frame (the MFCC hop), used for manifest durations."""
+        return _FEATURES.hop_ms / 1000
 
 
-def symbol_prototype(ch: str, feature_dim: int = 13, proto_seed: int = 0) -> np.ndarray:
+def symbol_prototype(ch: str, proto_seed: int = SynthConfig.proto_seed) -> np.ndarray:
     """Fixed feature vector for one symbol, independent of any alphabet."""
     if len(ch) != 1:
         raise ValueError(f"expected a single symbol, got {ch!r}")
     rng = np.random.default_rng(np.random.SeedSequence((proto_seed, ord(ch))))
-    return rng.standard_normal(feature_dim)
+    return rng.standard_normal(_FEATURES.n_mfcc)
 
 
-def random_transcript(alphabet: Alphabet, rng: np.random.Generator, cfg: SynthConfig | None = None) -> str:
+def random_transcript(alphabet: Alphabet, rng: np.random.Generator, cfg: SynthConfig = SynthConfig()) -> str:
     """Space-separated words of letters drawn uniformly from the alphabet."""
-    cfg = cfg or SynthConfig()
     letters = sorted(alphabet.letters)
     n_words = int(rng.integers(cfg.words_min, cfg.words_max + 1))
     words = []
@@ -62,29 +64,27 @@ def random_transcript(alphabet: Alphabet, rng: np.random.Generator, cfg: SynthCo
 
 
 def synth_features(text: str, alphabet: Alphabet, rng: np.random.Generator,
-                   cfg: SynthConfig | None = None) -> np.ndarray:
+                   cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     """Noisy prototype frames for each symbol of the transcript, in order."""
-    cfg = cfg or SynthConfig()
     if not text:
         raise ValueError("empty transcript")
     blocks = []
     for ch in text:
         if ch not in alphabet:
             raise ValueError(f"symbol {ch!r} not in alphabet {alphabet.name!r}")
-        proto = symbol_prototype(ch, cfg.feature_dim, cfg.proto_seed)
-        n = int(rng.integers(cfg.frames_min, cfg.frames_max + 1))
-        blocks.append(proto + cfg.noise_scale * rng.standard_normal((n, cfg.feature_dim)))
+        proto = symbol_prototype(ch, cfg.proto_seed)
+        n = int(rng.integers(FRAMES_MIN, FRAMES_MAX + 1))
+        blocks.append(proto + cfg.noise_scale * rng.standard_normal((n, proto.size)))
     return np.vstack(blocks).astype(np.float32).astype(np.float64)
 
 
 def make_corpus(alphabet: Alphabet, count: int, seed: int,
-                cfg: SynthConfig | None = None) -> list[tuple[str, str, np.ndarray]]:
+                cfg: SynthConfig = SynthConfig()) -> list[tuple[str, str, np.ndarray]]:
     """(utterance id, transcript, T x F features) triples.
 
     Each utterance is a pure function of (seed, index), so growing the
     corpus never changes earlier entries.
     """
-    cfg = cfg or SynthConfig()
     if count < 1:
         raise ValueError("count must be positive")
     corpus = []
@@ -97,9 +97,8 @@ def make_corpus(alphabet: Alphabet, count: int, seed: int,
 
 
 def write_corpus(out_dir, alphabet: Alphabet, count: int, seed: int,
-                 cfg: SynthConfig | None = None) -> list[ManifestRow]:
+                 cfg: SynthConfig = SynthConfig()) -> list[ManifestRow]:
     """Write feature cache files under out_dir and return manifest rows."""
-    cfg = cfg or SynthConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -43,6 +43,8 @@ from .transfer import Checkpoint, transfer_weights
 logger = logging.getLogger(__name__)
 
 METRICS_HEADER = "epoch,train_cost,train_ler,val_cost,val_ler"
+DECODERS = ("greedy", "beam")
+ARCH_NAMES = {"lstm": "LSTM", "bilstm": "BiLSTM"}  # arch name -> scenario label
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class TrainConfig:
             raise ValueError(f"split {self.split} does not sum to 1")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
             raise ValueError(f"bad grad_clip_norm {self.grad_clip_norm}")
-        if self.eval_decoder not in ("greedy", "beam"):
+        if self.eval_decoder not in DECODERS:
             raise ValueError(f"unknown eval_decoder {self.eval_decoder!r}")
         if self.beam_width < 1:
             raise ValueError(f"bad beam_width {self.beam_width}")
@@ -277,13 +279,13 @@ def evaluate(
     params: ModelParams,
     model_cfg: ModelConfig,
     data: list[Utterance],
-    decoder: str = "greedy",
-    beam_width: int = 8,
+    decoder: str = TrainConfig.eval_decoder,
+    beam_width: int = TrainConfig.beam_width,
 ) -> tuple[float, float]:
     """Eval-mode mean cost and corpus LER; deterministic."""
     if not data:
         raise ValueError("empty evaluation set")
-    if decoder not in ("greedy", "beam"):
+    if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
     total_cost = 0.0
     decoded = []
@@ -360,9 +362,6 @@ def train(
     return params, rows
 
 
-ARCH_NAMES = {"lstm": "LSTM", "bilstm": "BiLSTM"}
-
-
 @dataclass
 class ScenarioResult:
     name: str
@@ -408,8 +407,7 @@ def run_experiment_matrix(
     utterances: list[Utterance],
     alphabet: Alphabet,
     cfg: TrainConfig,
-    hidden: int = 128,
-    feature_dim: int = 13,
+    hidden: int = ModelConfig.hidden,
     source_checkpoints: dict[str, Checkpoint] | None = None,
     metrics_dir=None,
 ) -> ExperimentResult:
@@ -428,13 +426,12 @@ def run_experiment_matrix(
 
     model_cfgs = {
         arch: ModelConfig(
-            feature_dim=feature_dim,
+            feature_dim=utterances[0].features.shape[1],
             num_classes=alphabet.num_classes,
             hidden=hidden,
-            num_layers=2,
             bidirectional=(arch == "bilstm"),
         )
-        for arch in ("lstm", "bilstm")
+        for arch in ARCH_NAMES
     }
     # every source is transferred before the first run, so a misfit fails fast
     transferred = {
@@ -465,7 +462,7 @@ def run_experiment_matrix(
             finals[(arch, init)] = rows[-1]
 
     improvements: dict[str, dict[str, float]] = {}
-    for arch in ("lstm", "bilstm"):
+    for arch in ARCH_NAMES:
         base = finals.get((arch, "random"))
         tran = finals.get((arch, "transfer"))
         if base is None or tran is None:

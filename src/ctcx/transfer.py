@@ -145,7 +145,8 @@ def read_checkpoint(path) -> Checkpoint:
     The embedded alphabet must be valid and give the config's class count,
     so ``Checkpoint.alphabet`` of a read checkpoint never raises. The tensor
     table must describe the packed layout ``write_checkpoint`` produces: spec
-    order, each offset the total size of the tensors before it.
+    order, each offset the total size of the tensors before it, and the
+    file ends with the last tensor.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -206,6 +207,8 @@ def read_checkpoint(path) -> Checkpoint:
         end += 4 * math.prod(shape)
         if base + end > len(raw):
             raise CheckpointError(f"{path}: truncated payload for tensor {name}")
+    if base + end != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - base - end} bytes after the last tensor")
     payload = np.frombuffer(raw, dtype="<f4", count=end // 4, offset=base)
     return Checkpoint(version, cfg, alphabet_name, alphabet_symbols, payload)
 

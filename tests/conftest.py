@@ -14,10 +14,10 @@ def kk():
     return builtin_alphabet("kk")
 
 
-def corpus_utterances(alphabet, count, seed, cfg=None):
+def corpus_utterances(alphabet, count, seed):
     return [
         Utterance(utt_id, text, encode(text, alphabet), feats)
-        for utt_id, text, feats in make_corpus(alphabet, count, seed, cfg)
+        for utt_id, text, feats in make_corpus(alphabet, count, seed)
     ]
 
 

@@ -26,7 +26,6 @@ from ctcx import (
     init_params,
     label_error_rate,
     log_softmax,
-    make_corpus,
     mfcc,
     params_from_checkpoint,
     read_checkpoint,

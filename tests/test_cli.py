@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from ctcx import (
     FeatureConfig,
     ManifestRow,
     ModelConfig,
+    SynthConfig,
+    TrainConfig,
     init_params,
     load_dataset,
     read_feature_cache,
@@ -23,7 +26,7 @@ from ctcx import (
     write_feature_cache,
     write_manifest,
 )
-from ctcx.cli import main
+from ctcx.cli import _train_config_from_args, build_parser, main
 from ctcx.frontend import wav_features
 
 
@@ -93,6 +96,24 @@ class TestParserBasics:
                   "--alphabet", toy_env["alphabet"], "--out", str(tmp_path),
                   "--init", "transfer"])
         assert exc.value.code == 1
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        parser = build_parser()
+        for command in ("train", "experiment"):
+            argv = [command, "--manifest", "m", "--alphabet", "kk", "--out", "o"]
+            args = parser.parse_args(argv)
+            assert _train_config_from_args(args) == TrainConfig()
+            assert args.hidden == ModelConfig.hidden
+            strict = _train_config_from_args(parser.parse_args(argv + ["--strict-paper"]))
+            assert strict == replace(TrainConfig(), grad_clip_norm=None)
+        for argv in (["evaluate", "--checkpoint", "c", "--manifest", "m"],
+                     ["decode", "--checkpoint", "c", "--wav", "w"]):
+            args = parser.parse_args(argv)
+            assert args.decoder == TrainConfig().eval_decoder
+            assert args.beam_width == TrainConfig().beam_width
+        args = parser.parse_args(["prepare", "--alphabet", "kk", "--out", "o"])
+        assert (args.noise_scale, args.proto_seed) == (SynthConfig().noise_scale,
+                                                       SynthConfig().proto_seed)
 
     def test_console_script_is_installed(self):
         exe = shutil.which("ctcx")
@@ -261,9 +282,10 @@ class TestFeatures:
         write_manifest([ManifestRow(str(wav), "аб"), ManifestRow(str(wav), "ба")],
                        tmp_path / "m.jsonl")
         out_dir = tmp_path / "feat"
-        code, _ = run_json(capsys, ["features", "--manifest", str(tmp_path / "m.jsonl"),
-                                    "--out-dir", str(out_dir)])
+        code, payload = run_json(capsys, ["features", "--manifest", str(tmp_path / "m.jsonl"),
+                                          "--out-dir", str(out_dir)])
         assert code == 0
+        assert payload["written"] == 1 and payload["skipped"] == 0
         rows = read_manifest(out_dir / "manifest.jsonl")
         assert [r.audio for r in rows] == [str(out_dir / "a.mfcc")] * 2
 

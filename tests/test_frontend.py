@@ -19,6 +19,7 @@ from ctcx import (
 )
 from ctcx.frontend import (
     LOG_FLOOR,
+    _mfcc_tables,
     dct_matrix,
     feature_cache_header,
     hz_to_mel,
@@ -201,6 +202,17 @@ class TestMfcc:
     def test_deterministic(self):
         clip = sine(440, 0.5, 16000)
         np.testing.assert_array_equal(mfcc(clip).values, mfcc(clip).values)
+
+    def test_recipe_tables_built_once_and_read_only(self):
+        cfg = FeatureConfig()
+        window, fbank, dct = _mfcc_tables(cfg)
+        assert _mfcc_tables(FeatureConfig()) is _mfcc_tables(cfg)
+        np.testing.assert_array_equal(window, np.hamming(cfg.window_samples))
+        np.testing.assert_array_equal(fbank, mel_filterbank(cfg)[0])
+        np.testing.assert_array_equal(dct, dct_matrix(cfg.n_mels))
+        for table in (window, fbank, dct):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
     def test_1000_hz_tone_peaks_at_nearest_filter(self):
         cfg = FeatureConfig()

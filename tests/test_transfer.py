@@ -227,6 +227,17 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="truncated payload for tensor dense.b"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("tail", [b"\0", b"garbage!" * 100], ids=["1-byte", "800-bytes"])
+    def test_bytes_after_last_tensor(self, tmp_path, ru, capsys, tail):
+        path, _ = self.write_valid(tmp_path, ru)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(CheckpointError, match=f"{len(tail)} bytes after the last tensor"):
+            read_checkpoint(path)
+        code = cli_main(["transfer", "--source", str(path), "--target-alphabet", "kk",
+                         "--out", str(tmp_path / "out.ckpt")])
+        assert code == 2
+        assert "bytes after the last tensor" in capsys.readouterr().err
+
     def test_shape_mismatch_names_tensor(self, tmp_path, ru):
         path, _ = self.write_valid(tmp_path, ru)
         rewrite_header(path, lambda h: edit_entry(h, 0, shape=[1, 1]))
