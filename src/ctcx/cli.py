@@ -186,6 +186,7 @@ def cmd_prepare(args) -> int:
 
     if not kept:
         raise DataError(f"no usable rows ({sum(dropped.values())} dropped: {dropped})")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_manifest(kept, args.out)
 
     human = [f"kept {len(kept)} rows -> {args.out}"]
@@ -370,8 +371,10 @@ def cmd_transfer(args) -> int:
     probes = [rng.standard_normal((20, src_cfg.feature_dim)) for _ in range(args.verify_probes)]
     verify = verify_transfer(params_from_checkpoint(source), params, target_cfg, probes)
 
-    save_checkpoint(params, target_cfg, target_alphabet, args.out)
     report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
+    for path in (args.out, report_path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(params, target_cfg, target_alphabet, args.out)
     report_doc = {
         "source": str(args.source),
         "target_alphabet": target_alphabet.name,

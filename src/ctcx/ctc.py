@@ -161,53 +161,81 @@ def greedy_decode(log_probs: np.ndarray) -> tuple[int, ...]:
 
 
 def beam_search_decode(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
-    """Prefix beam search over collapsed label prefixes.
+    """Prefix beam search over collapsed label prefixes (Hannun et al. 2014).
 
-    Per prefix two masses are tracked: alignments ending in blank and in
-    the final label. Paths collapsing to the same prefix merge. Ties break
-    toward the lexicographically smaller prefix.
+    The beam holds at most W prefixes and three arrays over them: ``p_b``,
+    the log mass of alignments ending in blank, ``p_nb``, of those ending
+    in the prefix's last label, and ``last``, that label (-1 for the empty
+    prefix). Each frame fills one W x C candidate matrix with array ops:
+
+    * column ``c < blank`` grows every prefix by ``c`` at ``total + lp[c]``,
+      where ``total = logaddexp(p_b, p_nb)``; repeating the last label needs
+      a blank in between, so that column takes ``p_b + lp[last]``;
+    * column ``blank`` keeps every prefix as itself: blank mass
+      ``total + lp[blank]``, non-blank mass ``p_nb + lp[last]``;
+    * a growth that equals a prefix already in the beam (found by a
+      prefix -> row dict, at most W lookups) is folded into that prefix's
+      non-blank mass and masked out of the candidates.
+
+    ``np.partition`` finds the W-th best score; only candidates at or above
+    it become prefix tuples, sorted by score and then toward the
+    lexicographically smaller prefix. Every slot sums at most two terms and
+    ``np.logaddexp`` is commutative with ``logaddexp(-inf, x) == x``, so for
+    ``log_probs`` without NaN or +inf the scores and the result are
+    bit-identical to the per-prefix dict search kept as
+    ``oracle_beam_search`` in ``tests/oracles.py``.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    t_len, n_classes = log_probs.shape
+    _, n_classes = log_probs.shape
     blank = n_classes - 1
 
-    # prefix -> [log P(ends in blank), log P(ends in its last label)]
-    beams: dict[tuple[int, ...], list[float]] = {(): [0.0, NEG_INF]}
-    for t in range(t_len):
-        lp = log_probs[t]
-        nxt: dict[tuple[int, ...], list[float]] = {}
+    def grown(k: int) -> tuple[int, ...]:
+        """The prefix of flat candidate ``k`` of the current beam."""
+        i, c = divmod(k, n_classes)
+        return prefixes[i] if c == blank else prefixes[i] + (c,)
 
-        def slot(prefix):
-            entry = nxt.get(prefix)
-            if entry is None:
-                entry = [NEG_INF, NEG_INF]
-                nxt[prefix] = entry
-            return entry
+    prefixes: tuple[tuple[int, ...], ...] = ((),)
+    p_b = np.zeros(1)
+    p_nb = np.full(1, NEG_INF)
+    last = np.full(1, -1)
+    total = np.zeros(1)  # logaddexp(p_b, p_nb)
+    for lp in log_probs:
+        # cand[i, c]: prefix i grown by label c, or kept as itself at c = blank
+        cand = total[:, None] + lp
+        rows = np.flatnonzero(last >= 0)
+        cand[rows, last[rows]] = p_b[rows] + lp[last[rows]]
+        keep_b = cand[:, blank].copy()
+        keep_nb = np.where(last >= 0, p_nb + lp[last], NEG_INF)
 
-        for prefix, (p_b, p_nb) in beams.items():
-            total = np.logaddexp(p_b, p_nb)
-            entry = slot(prefix)
-            entry[0] = np.logaddexp(entry[0], total + lp[blank])
-            if prefix:
-                # same label again without an intervening blank: merges
-                entry[1] = np.logaddexp(entry[1], p_nb + lp[prefix[-1]])
-            for c in range(blank):
-                if prefix and c == prefix[-1]:
-                    mass = p_b + lp[c]
-                else:
-                    mass = total + lp[c]
-                grown = slot(prefix + (c,))
-                grown[1] = np.logaddexp(grown[1], mass)
+        # fold q + (c,) into the keep slot of that prefix when it is in the beam
+        live = np.ones(cand.shape, dtype=bool)
+        row_of = {p: i for i, p in enumerate(prefixes)}
+        fold = [(j, row_of[prefixes[j][:-1]]) for j in rows if prefixes[j][:-1] in row_of]
+        if fold:
+            js, parents = np.array(fold).T
+            keep_nb[js] = np.logaddexp(keep_nb[js], cand[parents, last[js]])
+            live[parents, last[js]] = False
+        cand[:, blank] = np.logaddexp(keep_b, keep_nb)
 
-        ranked = sorted(
-            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
-        )
-        beams = dict(ranked[:beam_width])
+        flat = cand.ravel()
+        picks = np.flatnonzero(live)
+        neg = -flat[picks]
+        if len(picks) > beam_width:
+            top = neg <= np.partition(neg, beam_width - 1)[beam_width - 1]
+            picks, neg = picks[top], neg[top]
+        ranked = sorted(zip(neg.tolist(), map(grown, picks.tolist()), picks.tolist()))
+        _, prefixes, ks = zip(*ranked[:beam_width])
+        ks = np.array(ks)
+        row, col = np.divmod(ks, n_classes)
+        kept = col == blank
+        total = flat[ks]
+        p_b = np.where(kept, keep_b[row], NEG_INF)
+        p_nb = np.where(kept, keep_nb[row], total)
+        last = np.where(kept, last[row], col)
 
-    best = min(beams.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
-    return best[0]
+    return prefixes[0]
 
 
 def edit_distance(ref, hyp) -> int:

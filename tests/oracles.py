@@ -1,8 +1,9 @@
 """Independent reference implementations the tests compare against.
 
 These are deliberately written with different algorithms than the package
-(recursive memoized edit distance, exhaustive path enumeration) so that a
-shared bug cannot hide in both sides of an assertion.
+(recursive memoized edit distance, exhaustive path enumeration, a beam
+search with one dict entry per prefix) so that a shared bug cannot hide in
+both sides of an assertion.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from ctcx import ctc_forward_backward, forward, log_softmax
+
+NEG_INF = -np.inf
 
 
 def oracle_edit_distance(ref, hyp) -> int:
@@ -58,6 +61,58 @@ def oracle_map_decode(log_probs: np.ndarray) -> tuple[int, ...]:
     """Most probable collapsed sequence; ties broken toward the smaller one."""
     masses = oracle_label_masses(log_probs)
     return min(masses.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+
+def oracle_beam_search(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
+    """Prefix beam search with one dict entry per prefix and a full sort
+    of every candidate each frame; the reference ``beam_search_decode``
+    must equal exactly.
+
+    Per prefix two masses are tracked: alignments ending in blank and in
+    the final label. Paths collapsing to the same prefix merge. Ties break
+    toward the lexicographically smaller prefix.
+    """
+    if beam_width < 1:
+        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    t_len, n_classes = log_probs.shape
+    blank = n_classes - 1
+
+    # prefix -> [log P(ends in blank), log P(ends in its last label)]
+    beams: dict[tuple[int, ...], list[float]] = {(): [0.0, NEG_INF]}
+    for t in range(t_len):
+        lp = log_probs[t]
+        nxt: dict[tuple[int, ...], list[float]] = {}
+
+        def slot(prefix):
+            entry = nxt.get(prefix)
+            if entry is None:
+                entry = [NEG_INF, NEG_INF]
+                nxt[prefix] = entry
+            return entry
+
+        for prefix, (p_b, p_nb) in beams.items():
+            total = np.logaddexp(p_b, p_nb)
+            entry = slot(prefix)
+            entry[0] = np.logaddexp(entry[0], total + lp[blank])
+            if prefix:
+                # same label again without an intervening blank: merges
+                entry[1] = np.logaddexp(entry[1], p_nb + lp[prefix[-1]])
+            for c in range(blank):
+                if prefix and c == prefix[-1]:
+                    mass = p_b + lp[c]
+                else:
+                    mass = total + lp[c]
+                grown = slot(prefix + (c,))
+                grown[1] = np.logaddexp(grown[1], mass)
+
+        ranked = sorted(
+            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
+        )
+        beams = dict(ranked[:beam_width])
+
+    best = min(beams.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
+    return best[0]
 
 
 def ctc_loss_of_logits(logits: np.ndarray, labels) -> float:

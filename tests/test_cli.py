@@ -15,8 +15,15 @@ from ctcx import (
     ModelConfig,
     SynthConfig,
     TrainConfig,
+    corpus_ler,
+    decode,
+    feature_normalize,
+    forward,
     init_params,
     load_dataset,
+    log_softmax,
+    params_from_checkpoint,
+    read_checkpoint,
     read_feature_cache,
     read_manifest,
     save_alphabet,
@@ -28,6 +35,7 @@ from ctcx import (
 )
 from ctcx.cli import _train_config_from_args, build_parser, main
 from ctcx.frontend import wav_features
+from oracles import oracle_beam_search
 
 
 TOY = Alphabet("toy", ("а", "б", "в", " "))
@@ -58,6 +66,13 @@ def toy_checkpoint(path, bidirectional=False, hidden=4, feature_dim=13, seed=0):
     )
     save_checkpoint(init_params(cfg), cfg, TOY, path)
     return cfg
+
+
+def toy_log_probs(ckpt_path, features):
+    ckpt = read_checkpoint(ckpt_path)
+    logits, _ = forward(params_from_checkpoint(ckpt), ckpt.model_config, features,
+                        train_mode=False)
+    return log_softmax(logits)
 
 
 def sine_wav(path, seconds=0.5, rate=16000):
@@ -203,6 +218,17 @@ class TestPrepare:
                      "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
         assert "raw.jsonl:1" in capsys.readouterr().err
+
+    def test_creates_missing_out_directory(self, tmp_path, capsys, kk):
+        manifest = tmp_path / "in.jsonl"
+        write_manifest(write_corpus(tmp_path / "f", kk, 2, seed=3), manifest)
+        out = tmp_path / "new" / "dir" / "clean.jsonl"
+        code, payload = run_json(capsys, [
+            "prepare", "--alphabet", "kk", "--manifest", str(manifest), "--out", str(out),
+        ])
+        assert code == 0
+        assert payload["kept"] == 2
+        assert len(read_manifest(out)) == 2
 
     def test_no_input_source_is_a_data_error(self, tmp_path, capsys):
         code = main(["prepare", "--alphabet", "ru", "--out", str(tmp_path / "o.jsonl")])
@@ -408,6 +434,21 @@ class TestTransferCommand:
         report_path = tmp_path / "kk.report.json"
         assert json.loads(report_path.read_text())["target_alphabet"] == "kk"
 
+    def test_creates_missing_out_and_report_directories(self, tmp_path, capsys, ru):
+        src_path = tmp_path / "ru.ckpt"
+        cfg = ModelConfig(feature_dim=13, num_classes=ru.num_classes, hidden=4,
+                          num_layers=2, bidirectional=False, seed=2)
+        save_checkpoint(init_params(cfg), cfg, ru, src_path)
+        out = tmp_path / "models" / "kk.ckpt"
+        report = tmp_path / "reports" / "kk.json"
+        code, _ = run_json(capsys, [
+            "transfer", "--source", str(src_path), "--target-alphabet", "kk",
+            "--out", str(out), "--report", str(report),
+        ])
+        assert code == 0
+        assert read_checkpoint(out).alphabet_name == "kk"
+        assert json.loads(report.read_text())["out"] == str(out)
+
     def test_missing_source_is_a_data_error(self, tmp_path, capsys):
         code = main(["transfer", "--source", str(tmp_path / "none.ckpt"),
                      "--target-alphabet", "kk", "--out", str(tmp_path / "o.ckpt")])
@@ -425,6 +466,20 @@ class TestEvaluateCommand:
         assert payload["utterances"] == 12
         assert payload["ler"] > 0.0
         assert np.isfinite(payload["avg_cost"])
+
+    def test_beam_ler_matches_oracle_hypotheses(self, tmp_path, toy_env, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt)
+        code, payload = run_json(capsys, [
+            "evaluate", "--checkpoint", str(ckpt), "--manifest", toy_env["manifest"],
+            "--decoder", "beam", "--beam-width", "8",
+        ])
+        assert code == 0
+        assert payload["decoder"] == "beam"
+        utterances, _ = load_dataset(read_manifest(toy_env["manifest"]), TOY)
+        pairs = [(u.labels, oracle_beam_search(toy_log_probs(ckpt, u.features), 8))
+                 for u in utterances]
+        assert payload["ler"] == corpus_ler(pairs)
 
     def test_feature_dim_mismatch_is_a_data_error(self, tmp_path, toy_env, capsys):
         ckpt = tmp_path / "m.ckpt"
@@ -448,6 +503,21 @@ class TestDecodeCommand:
         assert payload["resampled"] is False
         assert payload["frames"] == 48
         assert isinstance(payload["transcript"], str)
+
+    def test_beam_transcript_matches_oracle(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt)
+        wav = tmp_path / "in.wav"
+        sine_wav(wav, seconds=1.0)
+        code, payload = run_json(capsys, [
+            "decode", "--checkpoint", str(ckpt), "--wav", str(wav),
+            "--decoder", "beam", "--beam-width", "8",
+        ])
+        assert code == 0
+        features = feature_normalize(wav_features(wav, FeatureConfig())[0])
+        expected = decode(oracle_beam_search(toy_log_probs(ckpt, features), 8), TOY)
+        assert expected
+        assert payload["transcript"] == expected
 
     def test_other_rate_sets_resampled_flag(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"

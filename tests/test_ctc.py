@@ -14,7 +14,12 @@ from ctcx import (
     label_error_rate,
     log_softmax,
 )
-from oracles import oracle_edit_distance, oracle_label_masses, oracle_map_decode
+from oracles import (
+    oracle_beam_search,
+    oracle_edit_distance,
+    oracle_label_masses,
+    oracle_map_decode,
+)
 
 
 def uniform_log_probs(t, c):
@@ -174,6 +179,44 @@ class TestBeamSearch:
     def test_wider_than_needed_changes_nothing(self, rng):
         lp = log_softmax(rng.standard_normal((4, 3)))
         assert beam_search_decode(lp, 64) == beam_search_decode(lp, 1024)
+
+    def test_no_frames_or_no_labels_decode_empty(self):
+        assert beam_search_decode(np.zeros((0, 3)), 4) == ()
+        assert beam_search_decode(np.zeros((5, 1)), 4) == ()  # blank is the only class
+
+    def test_equal_scores_break_toward_smaller_prefix(self):
+        # (), (0,) and (1,) all score log(1/3); then (0,) and (1,) tie above ()
+        assert beam_search_decode(uniform_log_probs(1, 3), 1) == ()
+        assert beam_search_decode(np.log(np.array([[0.4, 0.4, 0.2]])), 1) == (0,)
+
+
+class TestBeamSearchMatchesOracle:
+    """The array decoder against the per-prefix dict search, tuple for tuple."""
+
+    def test_small_instances_with_ties_and_impossible_labels(self):
+        rng = np.random.default_rng(8)
+        ties = impossible = 0
+        for _ in range(3000):
+            t = int(rng.integers(0, 8))
+            c = int(rng.integers(1, 5))
+            width = int(rng.integers(1, 6))
+            logits = rng.standard_normal((t, c)) * 2.0
+            if rng.random() < 0.3:
+                logits = np.round(logits)  # equal logits give equal prefix scores
+                ties += 1
+            lp = log_softmax(logits)
+            if t and rng.random() < 0.1:
+                lp[rng.integers(t), rng.integers(c)] = -np.inf
+                impossible += 1
+            assert beam_search_decode(lp, width) == oracle_beam_search(lp, width)
+        assert ties > 800 and impossible > 200
+
+    @pytest.mark.parametrize("width,count", [(8, 200), (32, 4)])
+    def test_kazakh_sized_instances(self, width, count):
+        rng = np.random.default_rng(width)
+        for _ in range(count):
+            lp = log_softmax(rng.standard_normal((60, 43)) * 3.0)
+            assert beam_search_decode(lp, width) == oracle_beam_search(lp, width)
 
 
 class TestEditDistance:
