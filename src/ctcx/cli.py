@@ -608,7 +608,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         parser.error(str(e))  # exits with EXIT_USAGE
         raise AssertionError("unreachable")
-    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as e:
+    except (DataError, OSError, ValueError) as e:
         print(f"ctcx: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # anything unexpected

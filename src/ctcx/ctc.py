@@ -12,7 +12,10 @@ Conventions, fixed across the toolkit:
   ``logsumexp_s(alpha[t][s] + beta[t][s])`` equals the total log-likelihood
   at every frame, which the tests check directly.
 
-All recursions run in log space.
+All recursions run in log space, over a time-major (T_max, B, ·) batch
+padded after each utterance's frames and extended labels (see
+``ctc_forward_backward_batch``); ``ctc_loss`` and ``ctc_forward_backward``
+run one utterance as a batch of one.
 """
 from __future__ import annotations
 
@@ -21,20 +24,27 @@ from itertools import groupby, product
 
 import numpy as np
 
+from .network import reverse_within
+
 NEG_INF = -np.inf
 
 _ROW_NORM_TOL = 1e-6
 _BRUTEFORCE_LIMIT = 10**6
 
 
-def _check_log_dist(log_probs: np.ndarray) -> np.ndarray:
+def _check_log_dist(log_probs: np.ndarray, valid: np.ndarray | bool = True) -> None:
+    """Every ``valid`` row of the last axis must be a normalized log-distribution."""
+    row_lse = np.logaddexp.reduce(log_probs, axis=-1)
+    bad = ~(np.abs(row_lse) <= _ROW_NORM_TOL) & valid
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"row {where} is not a normalized log-distribution")
+
+
+def _as_matrix(log_probs: np.ndarray) -> np.ndarray:
     log_probs = np.asarray(log_probs, dtype=np.float64)
     if log_probs.ndim != 2:
         raise ValueError(f"expected a T x C matrix, got shape {log_probs.shape}")
-    row_lse = np.logaddexp.reduce(log_probs, axis=1)
-    if not np.all(np.abs(row_lse) <= _ROW_NORM_TOL):
-        bad = int(np.argmax(np.abs(row_lse)))
-        raise ValueError(f"row {bad} is not a normalized log-distribution")
     return log_probs
 
 
@@ -60,36 +70,78 @@ class CtcResult:
     log_likelihood: float
 
 
-def _lattice(log_probs: np.ndarray, labels) -> tuple[np.ndarray, ...]:
-    """Checked log_probs, the blank-extended labels ``ext``, their T x S
-    emission log-probs, and ``skip_ok[s]``: whether a path may skip from
-    ``s`` to ``s + 2``, true only between two different labels."""
-    log_probs = _check_log_dist(log_probs)
-    blank = log_probs.shape[1] - 1
-    labels = tuple(int(x) for x in labels)
-    if any(not 0 <= x < blank for x in labels):
-        raise ValueError(f"labels must lie in [0, {blank}), got {labels}")
-    ext = extend_with_blanks(labels, blank)
-    skip_ok = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-    return log_probs, ext, log_probs[:, ext], skip_ok
+@dataclass
+class _Lattice:
+    """A batch of CTC lattices, padded time-major to (T_max, B, S_max)."""
+
+    lengths: np.ndarray   # (B,) frames T_b
+    valid_t: np.ndarray   # (T_max, B) frame t < T_b
+    ext: np.ndarray       # (B, S_max) blank-extended labels, padded with blank
+    ext_len: np.ndarray   # (B,) positions S_b = 2 L_b + 1
 
 
-def _lattice_step(prev: np.ndarray, skip_ok: np.ndarray) -> np.ndarray:
-    """Log-mass reaching each position from ``prev`` in one frame: stay,
-    advance one, or skip two where ``skip_ok`` allows."""
-    acc = prev.copy()
-    acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-    acc[2:] = np.logaddexp(acc[2:], np.where(skip_ok, prev[:-2], NEG_INF))
-    return acc
+def _lattice(log_probs: np.ndarray, lengths, labels) -> _Lattice:
+    """Check a (T_max, B, C) batch whose utterance b has ``lengths[b]``
+    frames and the symbol ids ``labels[b]``, and lay out its lattices."""
+    t_max, n_batch, n_classes = log_probs.shape
+    blank = n_classes - 1
+    lengths = np.asarray(lengths, dtype=np.int64)
+    labels = [tuple(int(x) for x in seq) for seq in labels]
+    if lengths.shape != (n_batch,) or len(labels) != n_batch:
+        raise ValueError(f"{len(lengths)} lengths and {len(labels)} label sequences "
+                         f"for a batch of {n_batch}")
+    if not np.all((lengths >= 1) & (lengths <= t_max)):
+        raise ValueError(f"lengths {lengths.tolist()} outside [1, {t_max}]")
+    valid_t = np.arange(t_max)[:, None] < lengths
+    _check_log_dist(log_probs, valid_t)
+    for seq in labels:
+        if any(not 0 <= x < blank for x in seq):
+            raise ValueError(f"labels must lie in [0, {blank}), got {seq}")
+    ext_len = np.array([2 * len(seq) + 1 for seq in labels])
+    ext = np.full((n_batch, ext_len.max()), blank, dtype=np.int64)
+    for b, seq in enumerate(labels):
+        ext[b, : ext_len[b]] = extend_with_blanks(seq, blank)
+    return _Lattice(lengths, valid_t, ext, ext_len)
 
 
-def _log_alpha(ly: np.ndarray, skip_ok: np.ndarray) -> tuple[np.ndarray, float]:
-    """Forward lattice and the total log-likelihood (-inf when infeasible)."""
-    alpha = np.full(ly.shape, NEG_INF)
-    alpha[0, :2] = ly[0, :2]
-    for t in range(1, len(ly)):
-        alpha[t] = ly[t] + _lattice_step(alpha[t - 1], skip_ok)
-    return alpha, float(np.logaddexp.reduce(alpha[-1, -2:]))
+def _walk(ly: np.ndarray, ext: np.ndarray, blank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice recursion over (T, B, S) emission log-probs ``ly`` of the
+    (B, S) extended labels ``ext``.
+
+    Returns ``(pre, post)``: ``pre[t, b, s]`` is the log-mass reaching
+    position s at frame t before its emission (0 on the first two positions
+    at t = 0), ``post[t] = pre[t] + ly[t]`` after it. Each frame a path
+    stays, advances one position, or skips a blank, which it may do only
+    between two different labels. ``post`` carries two -inf columns left of
+    position 0, so all three moves are one expression at every position.
+    """
+    t_len, n_batch, n_pos = ly.shape
+    skip = np.full((n_batch, n_pos), NEG_INF)
+    skip[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+    pre = np.full(ly.shape, NEG_INF)
+    pre[0, :, :2] = 0.0
+    post = np.full((t_len, n_batch, n_pos + 2), NEG_INF)
+    stay, advance, jump_from = post[:, :, 2:], post[:, :, 1:-1], post[:, :, :-2]
+    np.add(pre[0], ly[0], out=stay[0])
+    jump = np.empty((n_batch, n_pos))
+    for t in range(1, t_len):
+        np.logaddexp(stay[t - 1], advance[t - 1], out=pre[t])
+        np.add(jump_from[t - 1], skip, out=jump)
+        np.logaddexp(pre[t], jump, out=pre[t])
+        np.add(pre[t], ly[t], out=stay[t])
+    return pre, stay
+
+
+def _log_alpha(log_probs: np.ndarray, lat: _Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Forward lattices and each utterance's log-likelihood (-inf when
+    infeasible), read out at ``(T_b - 1, S_b - 2 : S_b)``."""
+    ly = np.take_along_axis(log_probs, lat.ext[None], axis=2)
+    _, alpha = _walk(ly, lat.ext, log_probs.shape[2] - 1)
+    cols = np.arange(len(lat.lengths))
+    end = alpha[lat.lengths - 1, cols]  # (B, S_max)
+    last = end[cols, lat.ext_len - 1]
+    pair = np.logaddexp(end[cols, np.maximum(lat.ext_len - 2, 0)], last)
+    return alpha, np.where(lat.ext_len > 1, pair, last)
 
 
 def ctc_loss(log_probs: np.ndarray, labels) -> float:
@@ -98,8 +150,57 @@ def ctc_loss(log_probs: np.ndarray, labels) -> float:
     Equals ``ctc_forward_backward(log_probs, labels).neg_log_likelihood``
     without the backward recursion or the gradient.
     """
-    _, _, ly, skip_ok = _lattice(log_probs, labels)
-    return -_log_alpha(ly, skip_ok)[1]
+    log_probs = _as_matrix(log_probs)[:, None]
+    return -float(_log_alpha(log_probs, _lattice(log_probs, [len(log_probs)], [labels]))[1][0])
+
+
+def ctc_forward_backward_batch(
+    log_probs: np.ndarray, lengths, labels
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward-backward CTC over a time-major (T_max, B, C) batch.
+
+    Utterance b owns rows ``[:lengths[b], b]`` of ``log_probs``, which must
+    be normalized log-distributions, and the symbol ids ``labels[b]``
+    (without blanks). Returns ``(log_likelihood, dlogits, log_alpha,
+    log_beta)``: the (B,) log-likelihoods, -inf where no alignment fits;
+    the (T_max, B, C) logit gradients, zero on padding rows and for
+    infeasible utterances; and the (T_max, B, S_max) lattices, meaningful
+    within each utterance's ``(T_b, S_b)``.
+
+    Padding sits after each utterance's frames and positions, and lattice
+    mass only moves forward in time and toward higher positions, so padding
+    never reaches a valid cell and each utterance's results are
+    bit-identical to a batch of one. Beta is the same walk over each
+    utterance reversed within its own ``T_b`` and ``S_b``, read before the
+    emission.
+    """
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    if log_probs.ndim != 3:
+        raise ValueError(f"expected a T x B x C array, got shape {log_probs.shape}")
+    blank = log_probs.shape[2] - 1
+    lat = _lattice(log_probs, lengths, labels)
+    alpha, log_p = _log_alpha(log_probs, lat)
+
+    n_pos = lat.ext.shape[1]
+    t_rev, cols = reverse_within(lat.lengths, len(log_probs)), np.arange(len(lat.lengths))
+    s_rev = reverse_within(lat.ext_len, n_pos).T
+    ext_rev = np.take_along_axis(lat.ext, s_rev, axis=1)
+    ly_rev = np.take_along_axis(log_probs[t_rev, cols], ext_rev[None], axis=2)
+    beta_rev, _ = _walk(ly_rev, ext_rev, blank)
+    beta = beta_rev[t_rev[:, :, None], cols[:, None], s_rev]
+
+    # log_q[t, b, k] sums gamma over the valid s with ext[b, s] == k, in order of s;
+    # logaddexp(x, -inf) == x, so -inf at the padded positions adds nothing
+    gamma = np.where(np.arange(n_pos) < lat.ext_len[:, None], alpha + beta, NEG_INF)
+    log_q = np.full(log_probs.shape, NEG_INF)
+    rows = np.repeat(cols, n_pos)
+    np.logaddexp.at(log_q, (slice(None), rows, lat.ext.ravel()), gamma.reshape(len(gamma), -1))
+
+    feasible = log_p > NEG_INF
+    with np.errstate(invalid="ignore"):  # padding and infeasible rows are dropped below
+        dlogits = np.exp(log_probs) - np.exp(log_q - np.where(feasible, log_p, 0.0)[:, None])
+    dlogits = np.where((lat.valid_t & feasible)[:, :, None], dlogits, 0.0)
+    return log_p, dlogits, alpha, beta
 
 
 def ctc_forward_backward(log_probs: np.ndarray, labels) -> CtcResult:
@@ -108,27 +209,15 @@ def ctc_forward_backward(log_probs: np.ndarray, labels) -> CtcResult:
     ``log_probs`` must hold normalized log-distributions (one row per
     frame); ``labels`` are symbol ids without blanks. When no alignment of
     the labels fits into T frames the loss is +inf, the gradient is zero,
-    and the result is flagged infeasible.
+    and the result is flagged infeasible. A batch of one of
+    ``ctc_forward_backward_batch``.
     """
-    log_probs, ext, ly, skip_ok = _lattice(log_probs, labels)
-    alpha, log_p = _log_alpha(ly, skip_ok)
-    # beta is the same lattice walked from the end: time and positions reversed
-    ly_rev, skip_rev = ly[::-1, ::-1].copy(), skip_ok[::-1].copy()
-    beta = np.full(ly.shape, NEG_INF)
-    beta[0, :2] = 0.0
-    for u in range(1, len(ly)):
-        beta[u] = _lattice_step(beta[u - 1] + ly_rev[u - 1], skip_rev)
-    beta = beta[::-1, ::-1]
-
-    if log_p == NEG_INF:
-        return CtcResult(np.inf, np.zeros_like(log_probs), False, alpha, beta, log_p)
-
-    gamma = alpha + beta  # (T, S)
-    log_q = np.full(log_probs.shape, NEG_INF)
-    for k in np.unique(ext):
-        log_q[:, k] = np.logaddexp.reduce(gamma[:, ext == k], axis=1)
-    dlogits = np.exp(log_probs) - np.exp(log_q - log_p)
-    return CtcResult(-log_p, dlogits, True, alpha, beta, log_p)
+    log_probs = _as_matrix(log_probs)
+    log_p, dlogits, alpha, beta = ctc_forward_backward_batch(
+        log_probs[:, None], [len(log_probs)], [labels]
+    )
+    log_p = float(log_p[0])
+    return CtcResult(-log_p, dlogits[:, 0], log_p > NEG_INF, alpha[:, 0], beta[:, 0], log_p)
 
 
 def ctc_loss_bruteforce(log_probs: np.ndarray, labels) -> float:
@@ -137,7 +226,8 @@ def ctc_loss_bruteforce(log_probs: np.ndarray, labels) -> float:
     Sums the probability of every length-T path whose collapse equals the
     labels. Only viable for C**T up to 1e6.
     """
-    log_probs = _check_log_dist(log_probs)
+    log_probs = _as_matrix(log_probs)
+    _check_log_dist(log_probs)
     t_len, n_classes = log_probs.shape
     if n_classes**t_len > _BRUTEFORCE_LIMIT:
         raise ValueError(f"instance too large: {n_classes}^{t_len} paths")

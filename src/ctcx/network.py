@@ -10,9 +10,22 @@ tanh(k * z)``, to its whole 4H pre-activation ``z``, with ``k = 1/2`` on the
 input, forget and output blocks and ``k = 1`` on the cell block. Because
 ``sigmoid(z) = 1/2 + 1/2 tanh(z/2)``, that is the sigmoid on three blocks and
 tanh on the fourth, and it cannot overflow at any ``z``. A direction keeps its
-activations as one (T, 4H) matrix in the same [i, f, g, o] order, and
+activations as one (T, B, 4H) array in the same [i, f, g, o] order, and
 backward turns it into the pre-activation gradient with one slope,
 ``(1 - a) * (a + 2k - 1)``.
+
+Batch layout: a minibatch runs time-major as (T_max, B, ·) arrays, each
+utterance front-aligned and zero-padded after its own T_b frames, so every
+recurrent step is one (B, H) @ (H, 4H) product written into preallocated
+rows. The backward direction reverses each utterance within its own length
+(``reverse_within``), which keeps the padding after the valid steps there
+too. Padding needs no mask: a padded step comes after every valid step of
+its utterance in both directions, so it never feeds one, and backward
+starts it with ``dh_out = 0`` (CTC gives padded rows zero gradient), so its
+``dz`` is exactly 0 and it adds nothing to the weight gradients, which are
+one product over all T * B rows. ``forward``, ``backward`` and
+``recurrent_hidden_outputs`` take one utterance and run it as a batch of
+one.
 
 Parameter layout: all of a model's tensors live in one contiguous float64
 vector, back to back in ``tensor_spec`` order, and each name maps to a
@@ -158,38 +171,72 @@ def _gate_scales(h_dim: int) -> np.ndarray:
     return k
 
 
+def pad_batch(arrays) -> np.ndarray:
+    """Stack (T_b, ...) arrays time-major into one zero-padded (T_max, B, ...) array."""
+    t_max = max(len(a) for a in arrays)
+    out = np.zeros((t_max, len(arrays)) + arrays[0].shape[1:])
+    for b, a in enumerate(arrays):
+        out[: len(a), b] = a
+    return out
+
+
+def reverse_within(lengths: np.ndarray, size: int) -> np.ndarray:
+    """(size, B) row index that reverses column b within its first ``lengths[b]``
+    rows and leaves the padding after them in place; it is its own inverse."""
+    pos = np.arange(size)[:, None]
+    return np.where(pos < lengths, lengths - 1 - pos, pos)
+
+
+def _reversed(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A (T, B, ...) batch with each utterance reversed within its own length;
+    a view when none is padded, as for a batch of one."""
+    if np.all(lengths == len(x)):
+        return x[::-1]
+    return x[reverse_within(lengths, len(x)), np.arange(len(lengths))]
+
+
 @dataclass
 class _DirectionCache:
-    """Activations of one direction, in its own time order."""
+    """Activations of one direction over a batch, in its own time order."""
 
-    x: np.ndarray        # (T, D) input as seen by this direction
-    gates: np.ndarray    # (T, 4H) activations [i, f, g, o]
-    c: np.ndarray        # (T + 1, H) cell states; row 0 is the zero initial state
-    tanh_c: np.ndarray   # (T, H) tanh of c[1:]
-    h: np.ndarray        # (T + 1, H) hidden states; row 0 is the zero initial state
+    x: np.ndarray        # (T, B, D) input as seen by this direction
+    gates: np.ndarray    # (T, B, 4H) activations [i, f, g, o]
+    c: np.ndarray        # (T + 1, B, H) cell states; row 0 is the zero initial state
+    tanh_c: np.ndarray   # (T, B, H) tanh of c[1:]
+    h: np.ndarray        # (T + 1, B, H) hidden states; row 0 is the zero initial state
 
 
 def _direction_forward(
     lp: tuple[np.ndarray, ...], x: np.ndarray
 ) -> tuple[np.ndarray, _DirectionCache]:
     w_input, w_recurrent, bias = lp
-    t_len = x.shape[0]
+    t_len, n_batch, d_in = x.shape
     h_dim = w_recurrent.shape[1]
     k = _gate_scales(h_dim)
     offset = 1.0 - k
-    z_in = x @ w_input.T + bias  # (T, 4H)
-
-    gates = np.empty((t_len, 4 * h_dim))
-    c = np.zeros((t_len + 1, h_dim))
-    tanh_c = np.empty((t_len, h_dim))
-    h = np.zeros((t_len + 1, h_dim))
+    z_in = (x.reshape(-1, d_in) @ w_input.T + bias).reshape(t_len, n_batch, 4 * h_dim)
     w_rec_t = w_recurrent.T
+
+    gates = np.empty((t_len, n_batch, 4 * h_dim))
+    c = np.zeros((t_len + 1, n_batch, h_dim))
+    tanh_c = np.empty((t_len, n_batch, h_dim))
+    h = np.zeros((t_len + 1, n_batch, h_dim))
+    i, f, g, o = (gates[:, :, j * h_dim : (j + 1) * h_dim] for j in range(4))
+    ig = np.empty((n_batch, h_dim))
+    # every step writes into preallocated rows, so B=1 costs no more than a vector step
     for t in range(t_len):
-        gates[t] = offset + k * np.tanh(k * (z_in[t] + h[t] @ w_rec_t))
-        i, f, g, o = gates[t].reshape(4, h_dim)
-        c[t + 1] = f * c[t] + i * g
-        tanh_c[t] = np.tanh(c[t + 1])
-        h[t + 1] = o * tanh_c[t]
+        a = gates[t]
+        np.matmul(h[t], w_rec_t, out=a)
+        a += z_in[t]
+        a *= k
+        np.tanh(a, out=a)
+        a *= k
+        a += offset
+        np.multiply(f[t], c[t], out=c[t + 1])
+        np.multiply(i[t], g[t], out=ig)
+        c[t + 1] += ig
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(o[t], tanh_c[t], out=h[t + 1])
 
     return h[1:], _DirectionCache(x, gates, c, tanh_c, h)
 
@@ -200,77 +247,116 @@ def _direction_backward(
     cache: _DirectionCache,
     dh_out: np.ndarray,
 ) -> np.ndarray:
-    """Writes the direction's gradients into ``grad``; returns the input gradient."""
+    """Writes the direction's batch-summed gradients into ``grad``; returns the
+    (T, B, D) input gradient."""
     w_input, w_rec, _ = lp
-    t_len, h_dim = dh_out.shape
+    t_len, n_batch, h_dim = dh_out.shape
     gates, tanh_c = cache.gates, cache.tanh_c
-    i, f, g, o = np.split(gates, 4, axis=1)
+    i, f, g, o = np.split(gates, 4, axis=2)
     # d gate / d z of (1 - k) + k tanh(k z), written in the activation a
     slope = (1.0 - gates) * (gates + (2.0 * _gate_scales(h_dim) - 1.0))
-    # dz_t = [dc, dc, dc, dh] * local_t: d c_t / d [i, f, g] and d h_t / d o
-    local = np.hstack([g, cache.c[:-1], i, tanh_c]) * slope
-    dc_dh = o * (1.0 - tanh_c**2)
-    dz = np.empty((t_len, 4 * h_dim))
-    dh_next = np.zeros(h_dim)
-    dc_next = np.zeros(h_dim)
+    # dz_t = u_t * local_t with u_t = [dc, dc, dc, dh]: d c_t / d [i, f, g] and d h_t / d o
+    local = np.concatenate([g, cache.c[:-1], i, tanh_c], axis=2) * slope
+    # u_t = dh_t * m_t + v_{t+1} with m_t = [dc/dh, dc/dh, dc/dh, 1], and the
+    # carry v_t = u_t * [f, f, f, 0] = [dc_next, dc_next, dc_next, 0]
+    m = np.concatenate([np.tile(o * (1.0 - tanh_c**2), 3), np.ones_like(tanh_c)], axis=2)
+    carry = np.concatenate([np.tile(f, 3), np.zeros_like(f)], axis=2)
+    dz = np.empty((t_len, n_batch, 4 * h_dim))
+    dh = np.empty((n_batch, 1, h_dim))
+    u = np.empty((n_batch, 4 * h_dim))
+    v = np.zeros((n_batch, 4 * h_dim))
+    dh_next = np.zeros((n_batch, h_dim))
+    u4, dh_out4 = u.reshape(n_batch, 4, h_dim), dh_out.reshape(t_len, n_batch, 1, h_dim)
+    m4 = m.reshape(t_len, n_batch, 4, h_dim)
 
     for t in range(t_len - 1, -1, -1):
-        dh = dh_out[t] + dh_next
-        dc = dh * dc_dh[t] + dc_next
-        dz[t] = np.concatenate([dc, dc, dc, dh]) * local[t]
-        dh_next = dz[t] @ w_rec
-        dc_next = dc * f[t]
+        np.add(dh_out4[t], dh_next[:, None], out=dh)
+        np.multiply(dh, m4[t], out=u4)
+        u += v
+        np.multiply(u, local[t], out=dz[t])
+        np.matmul(dz[t], w_rec, out=dh_next)
+        np.multiply(u, carry[t], out=v)
 
+    # one product over all T * B rows sums the batch
+    dz = dz.reshape(-1, 4 * h_dim)
     g_input, g_recurrent, g_bias = grad
-    g_input[...] = dz.T @ cache.x
-    g_recurrent[...] = dz.T @ cache.h[:-1]
+    g_input[...] = dz.T @ cache.x.reshape(-1, w_input.shape[1])
+    g_recurrent[...] = dz.T @ cache.h[:-1].reshape(-1, h_dim)
     g_bias[...] = dz.sum(axis=0)
-    return dz @ w_input
+    return (dz @ w_input).reshape(t_len, n_batch, -1)
 
 
 @dataclass
 class ForwardCache:
     cfg: ModelConfig
+    lengths: np.ndarray  # (B,) frames of each utterance
     dir_caches: list[tuple[_DirectionCache, _DirectionCache | None]]
-    masks: list[np.ndarray | None]
-    final_hidden: np.ndarray
+    masks: list[np.ndarray | None]  # per layer (T, B, R), zero on padding
+    final_hidden: np.ndarray  # (T, B, R)
 
 
 def _stack_forward(
     params: ModelParams,
     cfg: ModelConfig,
-    features: np.ndarray,
-    train_mode: bool,
-    dropout_seed: int,
+    features: list[np.ndarray],
+    dropout_seeds: list[int] | None,
 ) -> tuple[list[np.ndarray], ForwardCache]:
-    """Run the recurrent stack; returns per-layer (post-dropout) outputs."""
-    if features.ndim != 2 or features.shape[1] != cfg.feature_dim:
-        raise ValueError(
-            f"features shape {features.shape} incompatible with feature_dim {cfg.feature_dim}"
-        )
-    if features.shape[0] < 1:
-        raise ValueError("need at least one frame")
+    """Run the recurrent stack over a batch; returns per-layer (post-dropout)
+    (T_max, B, R) outputs."""
+    if not features:
+        raise ValueError("empty batch")
+    for values in features:
+        if values.ndim != 2 or values.shape[1] != cfg.feature_dim:
+            raise ValueError(
+                f"features shape {values.shape} incompatible with feature_dim {cfg.feature_dim}"
+            )
+        if values.shape[0] < 1:
+            raise ValueError("need at least one frame")
     validate_params(params, cfg)
 
-    rng = np.random.default_rng(dropout_seed) if train_mode else None
+    lengths = np.array([len(values) for values in features])
+    x = pad_batch(features)
+    dropout = dropout_seeds is not None and cfg.dropout_keep < 1.0
+    # one generator per utterance, drawn layer by layer, as in a batch of one
+    rngs = [np.random.default_rng(seed) for seed in dropout_seeds] if dropout else []
     dir_caches, masks = [], []
-    x = np.asarray(features, dtype=np.float64)
     outputs = []
     for li in range(cfg.num_layers):
         out, c_fwd = _direction_forward(params.direction(li, "fwd"), x)
         c_bwd = None
         if cfg.bidirectional:
-            h_bwd_rev, c_bwd = _direction_forward(params.direction(li, "bwd"), x[::-1])
-            out = np.hstack([out, h_bwd_rev[::-1]])
+            x_rev = _reversed(x, lengths)
+            h_bwd_rev, c_bwd = _direction_forward(params.direction(li, "bwd"), x_rev)
+            out = np.concatenate([out, _reversed(h_bwd_rev, lengths)], axis=2)
         dir_caches.append((c_fwd, c_bwd))
         mask = None
-        if train_mode and cfg.dropout_keep < 1.0:
-            mask = (rng.random(out.shape) < cfg.dropout_keep) / cfg.dropout_keep
+        if dropout:
+            keep = [rng.random((n, out.shape[2])) < cfg.dropout_keep
+                    for rng, n in zip(rngs, lengths)]
+            mask = pad_batch(keep) / cfg.dropout_keep
             out = out * mask
         masks.append(mask)
         outputs.append(out)
         x = out
-    return outputs, ForwardCache(cfg, dir_caches, masks, x)
+    return outputs, ForwardCache(cfg, lengths, dir_caches, masks, x)
+
+
+def forward_batch(
+    params: ModelParams,
+    cfg: ModelConfig,
+    features: list[np.ndarray],
+    dropout_seeds: list[int] | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass over a batch of (T_b, F) feature matrices.
+
+    Returns (T_max, B, C) logits, whose rows past each utterance's length are
+    padding, and the cache for ``backward_batch``. ``dropout_seeds`` holds one
+    seed per utterance in training mode; ``None`` is eval mode.
+    """
+    outputs, cache = _stack_forward(params, cfg, features, dropout_seeds)
+    hidden = outputs[-1]
+    logits = hidden.reshape(-1, hidden.shape[2]) @ params.dense_w.T + params.dense_b
+    return logits.reshape(hidden.shape[:2] + (cfg.num_classes,)), cache
 
 
 def forward(
@@ -281,17 +367,17 @@ def forward(
     dropout_seed: int = 0,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Per-utterance forward pass; returns (T x C logits, cache for backward)."""
-    outputs, cache = _stack_forward(params, cfg, features, train_mode, dropout_seed)
-    logits = outputs[-1] @ params.dense_w.T + params.dense_b
-    return logits, cache
+    seeds = [dropout_seed] if train_mode else None
+    logits, cache = forward_batch(params, cfg, [np.asarray(features, dtype=np.float64)], seeds)
+    return logits[:, 0], cache
 
 
 def recurrent_hidden_outputs(
     params: ModelParams, cfg: ModelConfig, features: np.ndarray
 ) -> list[np.ndarray]:
     """Eval-mode hidden output of every recurrent layer (no dense head)."""
-    outputs, _ = _stack_forward(params, cfg, features, train_mode=False, dropout_seed=0)
-    return outputs
+    outputs, _ = _stack_forward(params, cfg, [np.asarray(features, dtype=np.float64)], None)
+    return [out[:, 0] for out in outputs]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -300,36 +386,46 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def backward(
+def backward_batch(
     params: ModelParams, cfg: ModelConfig, cache: ForwardCache, dlogits: np.ndarray
 ) -> ModelParams:
-    """Exact gradients for the loss whose logit gradient is ``dlogits``.
+    """Exact gradients, summed over the batch, of the loss whose (T_max, B, C)
+    logit gradient is ``dlogits``; its padding rows must be zero.
 
     Returns a zeroed ModelParams with every gradient written into its view.
     """
     if cache.cfg != cfg:
         raise ValueError("cache was produced under a different model config")
-    if dlogits.shape != (cache.final_hidden.shape[0], cfg.num_classes):
+    if dlogits.shape != cache.final_hidden.shape[:2] + (cfg.num_classes,):
         raise ValueError(f"dlogits shape {dlogits.shape} does not match the forward pass")
 
     h = cfg.hidden
     grads = zeros_like_params(params)
-    grads.dense_w[...] = dlogits.T @ cache.final_hidden
-    grads.dense_b[...] = dlogits.sum(axis=0)
+    flat = dlogits.reshape(-1, cfg.num_classes)
+    grads.dense_w[...] = flat.T @ cache.final_hidden.reshape(len(flat), -1)
+    grads.dense_b[...] = flat.sum(axis=0)
 
-    dx = dlogits @ params.dense_w
+    dx = (flat @ params.dense_w).reshape(cache.final_hidden.shape)
     for li in range(cfg.num_layers - 1, -1, -1):
         mask = cache.masks[li]
         if mask is not None:
             dx = dx * mask
         c_fwd, c_bwd = cache.dir_caches[li]
         dx_f = _direction_backward(
-            params.direction(li, "fwd"), grads.direction(li, "fwd"), c_fwd, dx[:, :h]
+            params.direction(li, "fwd"), grads.direction(li, "fwd"), c_fwd, dx[:, :, :h]
         )
         if cfg.bidirectional:
             dx_b_rev = _direction_backward(
-                params.direction(li, "bwd"), grads.direction(li, "bwd"), c_bwd, dx[:, h:][::-1]
+                params.direction(li, "bwd"), grads.direction(li, "bwd"), c_bwd,
+                _reversed(dx[:, :, h:], cache.lengths),
             )
-            dx_f = dx_f + dx_b_rev[::-1]
+            dx_f = dx_f + _reversed(dx_b_rev, cache.lengths)
         dx = dx_f
     return grads
+
+
+def backward(
+    params: ModelParams, cfg: ModelConfig, cache: ForwardCache, dlogits: np.ndarray
+) -> ModelParams:
+    """Exact gradients of a batch-of-one forward pass for its (T, C) ``dlogits``."""
+    return backward_batch(params, cfg, cache, np.asarray(dlogits)[:, None])

@@ -2,8 +2,10 @@
 
 Training is deterministic: utterance order, dropout masks, and weight init
 all derive from the training seed, so identical inputs give byte-identical
-metrics logs. Batches are processed one utterance at a time; gradients are
-summed in visiting order and divided by the actual batch length.
+metrics logs. Each minibatch runs as one time-major ``(T_max, B, ·)`` pass
+through the network and CTC (``forward_batch``, ``ctc_forward_backward_batch``,
+``backward_batch``); its gradient is the sum over the batch divided by the
+actual batch length. Evaluation runs one utterance at a time.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 from .ctc import (
     beam_search_decode,
     corpus_ler,
-    ctc_forward_backward,
+    ctc_forward_backward_batch,
     ctc_loss,
     greedy_decode,
 )
@@ -30,8 +32,9 @@ from .frontend import (
 from .network import (
     ModelConfig,
     ModelParams,
-    backward,
+    backward_batch,
     forward,
+    forward_batch,
     init_params,
     log_softmax,
     validate_params,
@@ -248,27 +251,22 @@ def train_epoch(
     decoded = []
 
     for start in range(0, len(order), cfg.batch_size):
-        batch = order[start : start + cfg.batch_size]
-        batch_grads = zeros_like_params(params)
-        for offset, idx in enumerate(batch):
-            utt = data[idx]
-            logits, cache = forward(
-                params,
-                model_cfg,
-                utt.features,
-                train_mode=True,
-                dropout_seed=_dropout_seed(cfg, epoch, start + offset),
-            )
-            log_probs = log_softmax(logits)
-            res = ctc_forward_backward(log_probs, utt.labels)
-            if not res.feasible:
+        batch = [data[i] for i in order[start : start + cfg.batch_size]]
+        seeds = [_dropout_seed(cfg, epoch, start + offset) for offset in range(len(batch))]
+        logits, cache = forward_batch(params, model_cfg, [u.features for u in batch], seeds)
+        log_probs = log_softmax(logits)
+        log_p, dlogits, _, _ = ctc_forward_backward_batch(
+            log_probs, cache.lengths, [u.labels for u in batch]
+        )
+        for b, utt in enumerate(batch):
+            if log_p[b] == -np.inf:
                 raise RuntimeError(
                     f"utterance {utt.utt_id} became infeasible mid-epoch; "
                     f"the load-time filter should have dropped it"
                 )
-            total_cost += res.neg_log_likelihood
-            decoded.append((utt.labels, greedy_decode(log_probs)))
-            batch_grads.vector += backward(params, model_cfg, cache, res.dlogits).vector
+            total_cost += -float(log_p[b])
+            decoded.append((utt.labels, greedy_decode(log_probs[: cache.lengths[b], b])))
+        batch_grads = backward_batch(params, model_cfg, cache, dlogits)
         batch_grads.vector *= 1.0 / len(batch)
         momentum_step(params, batch_grads, state, cfg)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -131,7 +132,17 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     prefix = CHECKPOINT_MAGIC + struct.pack("<II", ckpt.format_version, len(header)) + header
     pad = (-len(prefix)) % _ALIGN
     payload = np.ascontiguousarray(ckpt.payload, dtype="<f4").tobytes()
-    Path(path).write_bytes(prefix + b"\0" * pad + payload)
+    # a temp file in the same directory, then a rename: a killed or failed
+    # write leaves the previous file whole
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as out:
+            out.write(prefix + b"\0" * pad + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, alphabet: Alphabet, path) -> None:

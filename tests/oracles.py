@@ -12,7 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ctcx import ctc_forward_backward, forward, log_softmax
+from ctcx import backward, corpus_ler, ctc_forward_backward, forward, greedy_decode, log_softmax
+from ctcx.network import zeros_like_params
+from ctcx.trainer import _dropout_seed, _epoch_order, momentum_step
 
 NEG_INF = -np.inf
 
@@ -157,3 +159,67 @@ def max_relative_error(analytic, numeric, floor: float = 1e-6) -> float:
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def oracle_train_epoch(params, model_cfg, data, cfg, state, epoch):
+    """``train_epoch`` one utterance at a time: forward, CTC and backward per
+    utterance, gradients summed in visiting order, then one momentum step
+    per minibatch."""
+    order = _epoch_order(cfg, epoch, len(data))
+    total_cost = 0.0
+    decoded = []
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start : start + cfg.batch_size]
+        grads = zeros_like_params(params)
+        for offset, idx in enumerate(batch):
+            utt = data[idx]
+            logits, cache = forward(params, model_cfg, utt.features, train_mode=True,
+                                    dropout_seed=_dropout_seed(cfg, epoch, start + offset))
+            log_probs = log_softmax(logits)
+            res = ctc_forward_backward(log_probs, utt.labels)
+            total_cost += res.neg_log_likelihood
+            decoded.append((utt.labels, greedy_decode(log_probs)))
+            grads.vector += backward(params, model_cfg, cache, res.dlogits).vector
+        grads.vector *= 1.0 / len(batch)
+        momentum_step(params, grads, state, cfg)
+    return total_cost / len(data), corpus_ler(decoded)
+
+
+def oracle_ctc_forward_backward(log_probs: np.ndarray, labels):
+    """CTC for one utterance with its own log-space recursion per frame:
+    returns (neg log-likelihood, dlogits, log_alpha, log_beta).
+
+    Same arithmetic as the batched lattice walk, one (T, S) lattice at a
+    time, so the results must be equal, not close.
+    """
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    blank = log_probs.shape[1] - 1
+    ext = np.full(2 * len(labels) + 1, blank, dtype=np.int64)
+    ext[1::2] = list(labels)
+    skip_ok = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    ly = log_probs[:, ext]
+
+    def step(prev, skip):
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+        acc[2:] = np.logaddexp(acc[2:], np.where(skip, prev[:-2], NEG_INF))
+        return acc
+
+    alpha = np.full(ly.shape, NEG_INF)
+    alpha[0, :2] = ly[0, :2]
+    for t in range(1, len(ly)):
+        alpha[t] = ly[t] + step(alpha[t - 1], skip_ok)
+    log_p = float(np.logaddexp.reduce(alpha[-1, -2:]))
+    ly_rev, skip_rev = ly[::-1, ::-1].copy(), skip_ok[::-1].copy()
+    beta = np.full(ly.shape, NEG_INF)
+    beta[0, :2] = 0.0
+    for u in range(1, len(ly)):
+        beta[u] = step(beta[u - 1] + ly_rev[u - 1], skip_rev)
+    beta = beta[::-1, ::-1]
+    if log_p == NEG_INF:
+        return np.inf, np.zeros_like(log_probs), alpha, beta
+    gamma = alpha + beta
+    log_q = np.full(log_probs.shape, NEG_INF)
+    for k in np.unique(ext):
+        log_q[:, k] = np.logaddexp.reduce(gamma[:, ext == k], axis=1)
+    return -log_p, np.exp(log_probs) - np.exp(log_q - log_p), alpha, beta

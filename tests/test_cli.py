@@ -240,6 +240,14 @@ class TestPrepare:
                      "--manifest", str(tmp_path / "none.jsonl")])
         assert code == 2
 
+    def test_out_under_a_regular_file_is_a_data_error(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("x")
+        code = main(["prepare", "--alphabet", "kk", "--synthetic", "12",
+                     "--out", str(blocker / "x.jsonl")])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_unknown_alphabet_is_a_data_error(self, tmp_path, capsys):
         code = main(["prepare", "--alphabet", "xx", "--synthetic", "2",
                      "--out", str(tmp_path / "o.jsonl")])
@@ -285,6 +293,14 @@ class TestFeatures:
         assert payload["written"] == 1 and payload["skipped"] == 0
         assert cache.read_bytes() == good
         assert read_feature_cache(cache).shape[1] == FeatureConfig().n_mfcc
+
+    def test_out_dir_at_a_regular_file_is_a_data_error(self, tmp_path, capsys):
+        manifest = self.build_wav_manifest(tmp_path, n=1)
+        blocker = tmp_path / "afile"
+        blocker.write_text("x")
+        code = main(["features", "--manifest", str(manifest), "--out-dir", str(blocker)])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_same_stem_in_two_folders_is_a_data_error(self, tmp_path, capsys):
         rows = []
@@ -402,6 +418,13 @@ class TestTrain:
         ))
         assert code == 0
         assert payload["final"]["epoch"] == 2
+
+    def test_out_at_a_regular_file_is_a_data_error(self, tmp_path, toy_env, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("x")
+        code = main(train_argv(toy_env, blocker))
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_transfer_init_geometry_mismatch_is_a_data_error(self, tmp_path, toy_env, capsys):
         src = tmp_path / "src.ckpt"
@@ -591,6 +614,13 @@ class TestExperimentCommand:
         assert code == 2
         assert "hidden=8" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
+
+    def test_out_at_a_regular_file_is_a_data_error(self, tmp_path, toy_env, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("x")
+        code = main(experiment_argv(toy_env, blocker))
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_duplicate_arch_sources_rejected(self, tmp_path, toy_env, capsys):
         src = tmp_path / "lstm.ckpt"

@@ -23,6 +23,7 @@ from ctcx import (
     verify_transfer,
     write_checkpoint,
 )
+from ctcx import transfer
 from ctcx.cli import main as cli_main
 
 
@@ -91,6 +92,38 @@ class TestCheckpointRoundTrip:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "649779ac879304a6060b414f2a871d665f3a1ddab77ee64764fa5f9d1374358c"
         )
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, ru, monkeypatch):
+        cfg = small_cfg(num_classes=ru.num_classes)
+        path = tmp_path / "m.ckpt"
+        params = checkpoint_for(cfg, ru, path)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """A file that takes half of what it is given, then fails."""
+
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(transfer, "open", lambda *a, **k: HalfWrite(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(init_params(replace(cfg, seed=5)), cfg, ru, path)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(read_checkpoint(path).payload, params.vector)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     def test_file_starts_with_magic_and_version(self, tmp_path, ru):
         cfg = small_cfg(num_classes=ru.num_classes)
