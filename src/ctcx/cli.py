@@ -31,6 +31,7 @@ from .frontend import (
     resampled_length,
     wav_features,
     within_max_duration,
+    write_atomic,
     write_feature_cache,
     write_manifest,
 )
@@ -117,6 +118,11 @@ def _emit(args, payload: dict, human: str) -> None:
         print(json.dumps(payload, ensure_ascii=False, indent=2))
     elif human:
         print(human)
+
+
+def _json_bytes(doc: dict) -> bytes:
+    """A report file: indented UTF-8 JSON and a final newline."""
+    return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 
 def _workers() -> int:
@@ -238,6 +244,7 @@ def cmd_features(args) -> int:
                     failures.append({"audio": str(job[0]), "error": outcome})
 
     out_manifest = args.out_manifest or str(out_dir / "manifest.jsonl")
+    Path(out_manifest).parent.mkdir(parents=True, exist_ok=True)
     write_manifest(out_rows, out_manifest)
 
     payload = {
@@ -382,9 +389,7 @@ def cmd_transfer(args) -> int:
         "report": report.to_dict(),
         "verify": verify.to_dict(),
     }
-    Path(report_path).write_text(
-        json.dumps(report_doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(report_path, _json_bytes(report_doc))
 
     human = (
         f"copied {len(report.copied)} recurrent tensors, "
@@ -473,9 +478,7 @@ def cmd_experiment(args) -> int:
     )
 
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(
-        json.dumps(result.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(summary_path, _json_bytes(result.to_dict()))
 
     lines = [" | ".join(EXPERIMENT_COLUMNS)]
     for s in result.scenarios:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .frontend import write_atomic
 from .network import (
     ModelConfig,
     ModelParams,
@@ -132,17 +132,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     prefix = CHECKPOINT_MAGIC + struct.pack("<II", ckpt.format_version, len(header)) + header
     pad = (-len(prefix)) % _ALIGN
     payload = np.ascontiguousarray(ckpt.payload, dtype="<f4").tobytes()
-    # a temp file in the same directory, then a rename: a killed or failed
-    # write leaves the previous file whole
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as out:
-            out.write(prefix + b"\0" * pad + payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, prefix + b"\0" * pad + payload)
 
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, alphabet: Alphabet, path) -> None:

@@ -2,7 +2,8 @@
 
 These are deliberately written with different algorithms than the package
 (recursive memoized edit distance, exhaustive path enumeration, a beam
-search with one dict entry per prefix) so that a shared bug cannot hide in
+search with one dict entry per prefix, a resampler that evaluates its
+kernel once per output sample) so that a shared bug cannot hide in
 both sides of an assertion.
 """
 from __future__ import annotations
@@ -12,7 +13,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from ctcx import backward, corpus_ler, ctc_forward_backward, forward, greedy_decode, log_softmax
+from ctcx import (
+    AudioClip,
+    backward,
+    corpus_ler,
+    ctc_forward_backward,
+    forward,
+    greedy_decode,
+    log_softmax,
+)
+from ctcx.frontend import _KAISER_BETA, _ZERO_CROSSINGS, resampled_length
 from ctcx.network import zeros_like_params
 from ctcx.trainer import _dropout_seed, _epoch_order, momentum_step
 
@@ -223,3 +233,46 @@ def oracle_ctc_forward_backward(log_probs: np.ndarray, labels):
     for k in np.unique(ext):
         log_q[:, k] = np.logaddexp.reduce(gamma[:, ext == k], axis=1)
     return -log_p, np.exp(log_probs) - np.exp(log_q - log_p), alpha, beta
+
+
+def oracle_resample(clip: AudioClip, target_hz: int) -> AudioClip:
+    """``resample`` with the Kaiser-windowed sinc evaluated again for every
+    output sample and the taps gathered through an index matrix.
+
+    The package builds one kernel row per distinct fractional position and
+    the same elementwise floats, so the outputs must be equal, not close.
+    """
+    if target_hz <= 0:
+        raise ValueError(f"bad target rate {target_hz}")
+    if target_hz == clip.sample_rate_hz:
+        return clip
+
+    x = clip.samples
+    ratio = target_hz / clip.sample_rate_hz
+    n_out = resampled_length(len(x), clip.sample_rate_hz, target_hz)
+    scale = min(1.0, ratio)  # lowpass cutoff when decimating
+    support = _ZERO_CROSSINGS / scale
+    half_taps = int(np.floor(support)) + 1
+    n_taps = 2 * half_taps + 1
+
+    pad = np.concatenate([np.zeros(half_taps + 1), x, np.zeros(half_taps + 2)])
+    out = np.empty(n_out)
+    offsets = np.arange(n_taps) - half_taps
+
+    chunk = 8192
+    denom = np.i0(_KAISER_BETA)
+    for start in range(0, n_out, chunk):
+        j = np.arange(start, min(start + chunk, n_out))
+        pos = j / ratio  # position in source samples
+        k0 = np.floor(pos).astype(np.int64)
+        frac = pos - k0
+        # tap m covers source index k0 + offsets[m]
+        t = offsets[None, :] - frac[:, None]
+        u = t / support
+        window = np.where(np.abs(u) <= 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / denom, 0.0)
+        kernel = scale * np.sinc(scale * t) * window
+        idx = k0[:, None] + offsets[None, :] + half_taps + 1
+        out[j] = np.einsum("ij,ij->i", kernel, pad[idx])
+
+    np.clip(out, -1.0, 1.0, out=out)
+    return AudioClip(out, target_hz)

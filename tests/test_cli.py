@@ -19,9 +19,12 @@ from ctcx import (
     decode,
     feature_normalize,
     forward,
+    greedy_decode,
     init_params,
     load_dataset,
+    load_wav,
     log_softmax,
+    mfcc,
     params_from_checkpoint,
     read_checkpoint,
     read_feature_cache,
@@ -35,7 +38,7 @@ from ctcx import (
 )
 from ctcx.cli import _train_config_from_args, build_parser, main
 from ctcx.frontend import wav_features
-from oracles import oracle_beam_search
+from oracles import oracle_beam_search, oracle_resample
 
 
 TOY = Alphabet("toy", ("а", "б", "в", " "))
@@ -348,6 +351,51 @@ class TestFeatures:
                      "--out-dir", str(tmp_path / "feat")])
         assert code == 2
         assert "CTCX_THREADS" in capsys.readouterr().err
+
+    def test_out_manifest_parent_is_created(self, tmp_path, capsys):
+        manifest = self.build_wav_manifest(tmp_path, n=1)
+        out_manifest = tmp_path / "newdir" / "m.jsonl"
+        code, payload = run_json(capsys, ["features", "--manifest", str(manifest),
+                                          "--out-dir", str(tmp_path / "feat"),
+                                          "--out-manifest", str(out_manifest)])
+        assert code == 0
+        assert payload["manifest"] == str(out_manifest)
+        rows = read_manifest(out_manifest)
+        assert [r.audio for r in rows] == [str(tmp_path / "feat" / "utt0.mfcc")]
+
+    def test_features_and_decode_match_the_oracle_resampler(self, tmp_path, capsys):
+        # the per-sample resampler is the reference: caches and decode output
+        # at every common rate must come out as if it had been used
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt)
+        rng = np.random.default_rng(44100)
+        rows = []
+        for rate in (8000, 16000, 22050, 44100):
+            path = tmp_path / f"r{rate}.wav"
+            t = np.arange(int(0.9 * rate)) / rate
+            tone = 0.3 * np.sin(2 * np.pi * (300.0 + 900.0 * t) * t)
+            save_wav(AudioClip(tone + 0.05 * rng.standard_normal(len(t)), rate), path)
+            rows.append(ManifestRow(str(path), "аб в"))
+        write_manifest(rows, tmp_path / "wavs.jsonl")
+        out_dir = tmp_path / "feat"
+        code, _ = run_json(capsys, ["features", "--manifest", str(tmp_path / "wavs.jsonl"),
+                                    "--out-dir", str(out_dir)])
+        assert code == 0
+        for row in rows:
+            values = mfcc(oracle_resample(load_wav(row.audio), 16000)).values
+            expected = tmp_path / "expected.mfcc"
+            write_feature_cache(values, expected)
+            cache = out_dir / (Path(row.audio).stem + ".mfcc")
+            assert cache.read_bytes() == expected.read_bytes(), row.audio
+
+            code, decoded = run_json(capsys, ["decode", "--checkpoint", str(ckpt),
+                                              "--wav", row.audio])
+            assert code == 0
+            features = feature_normalize(values)
+            transcript = decode(greedy_decode(toy_log_probs(ckpt, features)), TOY)
+            assert decoded["transcript"] == transcript
+            assert decoded["frames"] == features.shape[0]
+            assert decoded["resampled"] is (row.audio != str(tmp_path / "r16000.wav"))
 
     def test_every_command_extracts_the_same_frames(self, tmp_path, capsys):
         # features, decode and load_dataset share one feature recipe

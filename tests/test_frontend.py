@@ -25,7 +25,10 @@ from ctcx.frontend import (
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
+    resampled_length,
 )
+from conftest import fail_writes_halfway
+from oracles import oracle_resample
 
 
 def sine(freq_hz, seconds, rate, amplitude=0.5):
@@ -140,6 +143,52 @@ class TestResample:
         spectrum = np.abs(np.fft.rfft(out.samples))
         freqs = np.fft.rfftfreq(len(out.samples), d=1 / 16000)
         assert abs(freqs[int(np.argmax(spectrum))] - 440) < 5
+
+    @pytest.mark.parametrize("rate", [44100, 22050])
+    def test_tone_survives_common_recording_rates(self, rate):
+        clip = sine(440, 0.5, rate)
+        out = resample(clip, 16000)
+        spectrum = np.abs(np.fft.rfft(out.samples))
+        freqs = np.fft.rfftfreq(len(out.samples), d=1 / 16000)
+        assert abs(freqs[int(np.argmax(spectrum))] - 440) < 5
+
+    # common recording rates, two off any round ratio (7,999 and 16,001 Hz,
+    # where almost every output has its own phase) and a 1 kHz header; each
+    # goes to every target
+    SOURCE_RATES = (8000, 11025, 12000, 22050, 24000, 32000, 44100, 48000, 96000,
+                    7999, 16001, 1000)
+    TARGET_RATES = (16000, 8000, 22050)
+
+    def test_matches_per_sample_oracle_bit_for_bit(self):
+        # 8191/8192/8193 straddle the 8192-output chunk where the rates are
+        # close; lengths whose output would be empty must fail the same way
+        rng = np.random.default_rng(2026)
+        cases = 0
+        for source in self.SOURCE_RATES:
+            for target in self.TARGET_RATES:
+                lengths = [1, 2, 3, 8191, 8192, 8193, *rng.integers(1, 30001, size=2)]
+                for n in lengths:
+                    n = int(n)
+                    if resampled_length(n, source, target) > 40000:
+                        continue  # keeps the per-sample oracle quick
+                    if rng.random() < 0.3:  # on the PCM16 grid, as loaded from a WAV
+                        samples = rng.integers(-32768, 32768, size=n) / 32768.0
+                    else:
+                        samples = np.clip(rng.normal(0.0, 0.4, size=n), -1.0, 1.0)
+                    clip = AudioClip(samples, source)
+                    if resampled_length(n, source, target) == 0:
+                        with pytest.raises(ValueError) as ours:
+                            resample(clip, target)
+                        with pytest.raises(ValueError) as theirs:
+                            oracle_resample(clip, target)
+                        assert str(ours.value) == str(theirs.value)
+                        continue
+                    got = resample(clip, target)
+                    want = oracle_resample(clip, target)
+                    assert got.sample_rate_hz == want.sample_rate_hz == target
+                    assert got.samples.tobytes() == want.samples.tobytes(), (source, target, n)
+                    cases += 1
+        assert cases > 200
 
     def test_interior_reconstruction_error_is_small(self):
         clip = sine(440, 0.25, 8000)
@@ -287,8 +336,30 @@ class TestFeatureCache:
             with pytest.raises(ValueError, match="unsupported feature cache version 2"):
                 reader(path)
 
+    def test_failed_write_keeps_the_old_cache(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "x.mfcc"
+        write_feature_cache(rng.standard_normal((17, 13)), path)
+        before = path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            write_feature_cache(rng.standard_normal((40, 13)), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.mfcc"]
+
 
 class TestManifest:
+    def test_failed_write_keeps_the_old_manifest(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        write_manifest([ManifestRow("a.wav", "сәлем", 1.5)], path)
+        before = path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            write_manifest([ManifestRow(f"{i}.wav", "бала") for i in range(50)], path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
+
     def test_round_trip(self, tmp_path):
         rows = [
             ManifestRow("a.wav", "сәлем", 1.5),

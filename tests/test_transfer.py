@@ -23,8 +23,8 @@ from ctcx import (
     verify_transfer,
     write_checkpoint,
 )
-from ctcx import transfer
 from ctcx.cli import main as cli_main
+from conftest import fail_writes_halfway
 
 
 def small_cfg(**kw):
@@ -99,24 +99,7 @@ class TestCheckpointRoundTrip:
         params = checkpoint_for(cfg, ru, path)
         before = path.read_bytes()
 
-        class HalfWrite:
-            """A file that takes half of what it is given, then fails."""
-
-            def __init__(self, file):
-                self.file = file
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.file.close()
-
-            def write(self, data):
-                self.file.write(data[: len(data) // 2])
-                raise OSError("no space left on device")
-
-        monkeypatch.setattr(transfer, "open", lambda *a, **k: HalfWrite(open(*a, **k)),
-                            raising=False)
+        fail_writes_halfway(monkeypatch)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(init_params(replace(cfg, seed=5)), cfg, ru, path)
         monkeypatch.undo()
