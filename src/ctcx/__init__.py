@@ -4,13 +4,10 @@ from .ctc import (
     beam_search_decode,
     collapse_path,
     corpus_ler,
-    ctc_forward_backward,
     ctc_loss,
-    ctc_loss_bruteforce,
     edit_distance,
     extend_with_blanks,
     greedy_decode,
-    label_error_rate,
 )
 from .frontend import (
     AudioClip,
@@ -32,7 +29,6 @@ from .frontend import (
 from .network import (
     ModelConfig,
     ModelParams,
-    backward,
     forward,
     init_params,
     log_softmax,

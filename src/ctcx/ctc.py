@@ -14,13 +14,13 @@ Conventions, fixed across the toolkit:
 
 All recursions run in log space, over a time-major (T_max, B, ·) batch
 padded after each utterance's frames and extended labels (see
-``ctc_forward_backward_batch``); ``ctc_loss`` and ``ctc_forward_backward``
-run one utterance as a batch of one.
+``ctc_forward_backward_batch``); ``ctc_loss`` runs one utterance as a batch
+of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 
 import numpy as np
 
@@ -29,23 +29,15 @@ from .network import reverse_within
 NEG_INF = -np.inf
 
 _ROW_NORM_TOL = 1e-6
-_BRUTEFORCE_LIMIT = 10**6
 
 
-def _check_log_dist(log_probs: np.ndarray, valid: np.ndarray | bool = True) -> None:
+def _check_log_dist(log_probs: np.ndarray, valid: np.ndarray) -> None:
     """Every ``valid`` row of the last axis must be a normalized log-distribution."""
     row_lse = np.logaddexp.reduce(log_probs, axis=-1)
     bad = ~(np.abs(row_lse) <= _ROW_NORM_TOL) & valid
     if bad.any():
         where = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(f"row {where} is not a normalized log-distribution")
-
-
-def _as_matrix(log_probs: np.ndarray) -> np.ndarray:
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    if log_probs.ndim != 2:
-        raise ValueError(f"expected a T x C matrix, got shape {log_probs.shape}")
-    return log_probs
 
 
 def extend_with_blanks(labels, blank: int) -> np.ndarray:
@@ -58,16 +50,6 @@ def extend_with_blanks(labels, blank: int) -> np.ndarray:
 def collapse_path(path, blank: int) -> tuple[int, ...]:
     """Merge adjacent repeats, then drop blanks."""
     return tuple(k for k, _ in groupby(path) if k != blank)
-
-
-@dataclass
-class CtcResult:
-    neg_log_likelihood: float
-    dlogits: np.ndarray
-    feasible: bool
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
-    log_likelihood: float
 
 
 @dataclass
@@ -147,11 +129,14 @@ def _log_alpha(log_probs: np.ndarray, lat: _Lattice) -> tuple[np.ndarray, np.nda
 def ctc_loss(log_probs: np.ndarray, labels) -> float:
     """CTC loss from the forward recursion alone; +inf when infeasible.
 
-    Equals ``ctc_forward_backward(log_probs, labels).neg_log_likelihood``
-    without the backward recursion or the gradient.
+    Equals the negated log-likelihood of ``ctc_forward_backward_batch`` on a
+    batch of one, without the backward recursion or the gradient.
     """
-    log_probs = _as_matrix(log_probs)[:, None]
-    return -float(_log_alpha(log_probs, _lattice(log_probs, [len(log_probs)], [labels]))[1][0])
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    if log_probs.ndim != 2:
+        raise ValueError(f"expected a T x C matrix, got shape {log_probs.shape}")
+    batch = log_probs[:, None]
+    return -float(_log_alpha(batch, _lattice(batch, [len(log_probs)], [labels]))[1][0])
 
 
 def ctc_forward_backward_batch(
@@ -201,45 +186,6 @@ def ctc_forward_backward_batch(
         dlogits = np.exp(log_probs) - np.exp(log_q - np.where(feasible, log_p, 0.0)[:, None])
     dlogits = np.where((lat.valid_t & feasible)[:, :, None], dlogits, 0.0)
     return log_p, dlogits, alpha, beta
-
-
-def ctc_forward_backward(log_probs: np.ndarray, labels) -> CtcResult:
-    """Forward-backward CTC loss and its gradient with respect to logits.
-
-    ``log_probs`` must hold normalized log-distributions (one row per
-    frame); ``labels`` are symbol ids without blanks. When no alignment of
-    the labels fits into T frames the loss is +inf, the gradient is zero,
-    and the result is flagged infeasible. A batch of one of
-    ``ctc_forward_backward_batch``.
-    """
-    log_probs = _as_matrix(log_probs)
-    log_p, dlogits, alpha, beta = ctc_forward_backward_batch(
-        log_probs[:, None], [len(log_probs)], [labels]
-    )
-    log_p = float(log_p[0])
-    return CtcResult(-log_p, dlogits[:, 0], log_p > NEG_INF, alpha[:, 0], beta[:, 0], log_p)
-
-
-def ctc_loss_bruteforce(log_probs: np.ndarray, labels) -> float:
-    """Loss by exhaustive path enumeration; the independent test oracle.
-
-    Sums the probability of every length-T path whose collapse equals the
-    labels. Only viable for C**T up to 1e6.
-    """
-    log_probs = _as_matrix(log_probs)
-    _check_log_dist(log_probs)
-    t_len, n_classes = log_probs.shape
-    if n_classes**t_len > _BRUTEFORCE_LIMIT:
-        raise ValueError(f"instance too large: {n_classes}^{t_len} paths")
-    blank = n_classes - 1
-    target = tuple(int(x) for x in labels)
-
-    total = NEG_INF
-    for path in product(range(n_classes), repeat=t_len):
-        if collapse_path(path, blank) == target:
-            lp = sum(log_probs[t, k] for t, k in enumerate(path))
-            total = np.logaddexp(total, lp)
-    return float(-total)
 
 
 def greedy_decode(log_probs: np.ndarray) -> tuple[int, ...]:
@@ -347,14 +293,6 @@ def edit_distance(ref, hyp) -> int:
             )
         prev = cur
     return prev[-1]
-
-
-def label_error_rate(ref, hyp) -> float:
-    """Edit distance divided by the reference length."""
-    ref = tuple(ref)
-    if not ref:
-        raise ValueError("empty reference; use corpus_ler for aggregates")
-    return edit_distance(ref, hyp) / len(ref)
 
 
 def corpus_ler(pairs) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -149,6 +150,10 @@ def load_wav(path) -> AudioClip:
         raise WavFormatError(f"{path}: channels={channels} unsupported")
     if bits != 16:
         raise WavFormatError(f"{path}: bits={bits} unsupported (need 16)")
+    if sample_rate == 0:
+        raise WavFormatError(f"{path}: sample rate 0")
+    if not data:
+        raise WavFormatError(f"{path}: empty data chunk")
     if len(data) % 2 != 0:
         raise WavFormatError(f"{path}: odd data chunk length")
 
@@ -425,10 +430,11 @@ def read_manifest(path) -> list[ManifestRow]:
             raise ValueError(f"{where}: manifest row needs 'audio' and 'text'")
         duration = obj.get("duration_s")
         if duration is not None:
-            try:
-                duration = float(duration)
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}: duration_s {duration!r} is not a number") from None
+            if isinstance(duration, bool) or not isinstance(duration, (int, float)):
+                raise ValueError(f"{where}: duration_s {duration!r} is not a number")
+            if not 0 <= duration <= sys.float_info.max:  # also NaN and Infinity
+                raise ValueError(f"{where}: duration_s {duration!r} is negative or not finite")
+            duration = float(duration)
         rows.append(ManifestRow(str(obj["audio"]), str(obj["text"]), duration))
     return rows
 

@@ -23,7 +23,7 @@ too. Padding needs no mask: a padded step comes after every valid step of
 its utterance in both directions, so it never feeds one, and backward
 starts it with ``dh_out = 0`` (CTC gives padded rows zero gradient), so its
 ``dz`` is exactly 0 and it adds nothing to the weight gradients, which are
-one product over all T * B rows. ``forward``, ``backward`` and
+one product over all T * B rows. ``forward`` and
 ``recurrent_hidden_outputs`` take one utterance and run it as a batch of
 one.
 
@@ -134,10 +134,6 @@ def validate_params(params: ModelParams, cfg: ModelConfig) -> None:
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
     return ModelParams(params.spec, np.zeros_like(params.vector))
-
-
-def copy_params(params: ModelParams) -> ModelParams:
-    return ModelParams(params.spec, params.vector.copy())
 
 
 def _f32_grid(a: np.ndarray) -> np.ndarray:
@@ -366,7 +362,7 @@ def forward(
     train_mode: bool = False,
     dropout_seed: int = 0,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Per-utterance forward pass; returns (T x C logits, cache for backward)."""
+    """Per-utterance forward pass; returns (T x C logits, cache for ``backward_batch``)."""
     seeds = [dropout_seed] if train_mode else None
     logits, cache = forward_batch(params, cfg, [np.asarray(features, dtype=np.float64)], seeds)
     return logits[:, 0], cache
@@ -423,9 +419,3 @@ def backward_batch(
         dx = dx_f
     return grads
 
-
-def backward(
-    params: ModelParams, cfg: ModelConfig, cache: ForwardCache, dlogits: np.ndarray
-) -> ModelParams:
-    """Exact gradients of a batch-of-one forward pass for its (T, C) ``dlogits``."""
-    return backward_batch(params, cfg, cache, np.asarray(dlogits)[:, None])

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .frontend import write_atomic
+
 # Letter inventories in dictionary order. Space is appended as the last
 # symbol when the alphabet is built.
 RUSSIAN_LETTERS = "абвгдеёжзийклмнопрстуфхцчшщъыьэюя"
@@ -139,4 +141,4 @@ def load_alphabet(path, name: str | None = None) -> Alphabet:
 
 def save_alphabet(alphabet: Alphabet, path) -> None:
     lines = [SPACE_ESCAPE if s == " " else s for s in alphabet.symbols]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -13,17 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ctcx import (
-    AudioClip,
-    backward,
-    corpus_ler,
-    ctc_forward_backward,
-    forward,
-    greedy_decode,
-    log_softmax,
-)
+from ctcx import AudioClip, corpus_ler, forward, greedy_decode, log_softmax
 from ctcx.frontend import _KAISER_BETA, _ZERO_CROSSINGS, resampled_length
-from ctcx.network import zeros_like_params
+from ctcx.network import backward_batch, zeros_like_params
 from ctcx.trainer import _dropout_seed, _epoch_order, momentum_step
 
 NEG_INF = -np.inf
@@ -128,7 +120,7 @@ def oracle_beam_search(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...
 
 
 def ctc_loss_of_logits(logits: np.ndarray, labels) -> float:
-    return ctc_forward_backward(log_softmax(logits), labels).neg_log_likelihood
+    return oracle_ctc_forward_backward(log_softmax(logits), labels)[0]
 
 
 def network_fd_grads(params, cfg, feats, labels, train_mode: bool,
@@ -138,7 +130,7 @@ def network_fd_grads(params, cfg, feats, labels, train_mode: bool,
     def loss() -> float:
         logits, _ = forward(params, cfg, feats, train_mode=train_mode,
                             dropout_seed=dropout_seed)
-        return ctc_forward_backward(log_softmax(logits), labels).neg_log_likelihood
+        return ctc_loss_of_logits(logits, labels)
 
     out = []
     for name, theta in params.tensors.items():
@@ -172,9 +164,9 @@ def max_relative_error(analytic, numeric, floor: float = 1e-6) -> float:
 
 
 def oracle_train_epoch(params, model_cfg, data, cfg, state, epoch):
-    """``train_epoch`` one utterance at a time: forward, CTC and backward per
-    utterance, gradients summed in visiting order, then one momentum step
-    per minibatch."""
+    """``train_epoch`` one utterance at a time: forward, the oracle CTC and a
+    batch-of-one backward per utterance, gradients summed in visiting order,
+    then one momentum step per minibatch."""
     order = _epoch_order(cfg, epoch, len(data))
     total_cost = 0.0
     decoded = []
@@ -186,10 +178,10 @@ def oracle_train_epoch(params, model_cfg, data, cfg, state, epoch):
             logits, cache = forward(params, model_cfg, utt.features, train_mode=True,
                                     dropout_seed=_dropout_seed(cfg, epoch, start + offset))
             log_probs = log_softmax(logits)
-            res = ctc_forward_backward(log_probs, utt.labels)
-            total_cost += res.neg_log_likelihood
+            nll, dlogits, _, _ = oracle_ctc_forward_backward(log_probs, utt.labels)
+            total_cost += nll
             decoded.append((utt.labels, greedy_decode(log_probs)))
-            grads.vector += backward(params, model_cfg, cache, res.dlogits).vector
+            grads.vector += backward_batch(params, model_cfg, cache, dlogits[:, None]).vector
         grads.vector *= 1.0 / len(batch)
         momentum_step(params, grads, state, cfg)
     return total_cost / len(data), corpus_ler(decoded)

@@ -3,8 +3,9 @@
 ``forward_batch``, ``ctc_forward_backward_batch`` and ``backward_batch`` run
 a ragged minibatch time-major as (T_max, B, ·), padded after each
 utterance's frames. Padding must never leak into a valid result: CTC is
-bit-identical per utterance, gradients agree with the per-utterance sum to
-rounding, and padded rows carry exactly zero gradient.
+bit-identical to the per-utterance oracle recursion, gradients agree with
+the per-utterance sum to rounding, and padded rows carry exactly zero
+gradient.
 """
 from dataclasses import replace
 
@@ -13,10 +14,9 @@ import pytest
 
 from ctcx import (
     ModelConfig,
+    ModelParams,
     OptimizerState,
     TrainConfig,
-    backward,
-    ctc_forward_backward,
     forward,
     init_params,
     log_softmax,
@@ -26,14 +26,13 @@ from ctcx.ctc import ctc_forward_backward_batch
 from ctcx.network import (
     _direction_backward,
     backward_batch,
-    copy_params,
     forward_batch,
     pad_batch,
     reverse_within,
     zeros_like_params,
 )
 from ctcx.trainer import _dropout_seed
-from conftest import corpus_utterances
+from helpers import corpus_utterances
 from oracles import oracle_ctc_forward_backward, oracle_train_epoch
 
 GRAD_REL_TOL = 1e-12
@@ -52,14 +51,15 @@ def ragged_batch(rng, lengths, num_classes):
 
 
 def per_utterance(params, cfg, feats, labels, seeds):
-    """Summed gradient, NLLs and logits of one forward/CTC/backward per utterance."""
+    """Summed gradient, NLLs and logits of one forward, oracle CTC and backward
+    per utterance."""
     total = zeros_like_params(params).vector
     nlls, logits = [], []
     for x, y, seed in zip(feats, labels, seeds):
         out, cache = forward(params, cfg, x, train_mode=seeds is not None, dropout_seed=seed)
-        res = ctc_forward_backward(log_softmax(out), y)
-        total += backward(params, cfg, cache, res.dlogits).vector
-        nlls.append(res.neg_log_likelihood)
+        nll, dlogits, _, _ = oracle_ctc_forward_backward(log_softmax(out), y)
+        total += backward_batch(params, cfg, cache, dlogits[:, None]).vector
+        nlls.append(nll)
         logits.append(out)
     return total, nlls, logits
 
@@ -114,8 +114,9 @@ def test_dropout_masks_equal_per_utterance_masks(bidirectional):
 
 
 def test_batched_ctc_is_bit_identical_per_utterance():
-    """NLL and dlogits equal (==) a batch of one, whatever sits in the padding,
-    and a batch of one equals the per-utterance recursion."""
+    """NLL, dlogits, alpha and beta of every utterance equal (==) the
+    per-utterance oracle recursion within its own (T_b, S_b), whatever sits
+    in the padding."""
     rng = np.random.default_rng(2024)
     checked = 0
     for _ in range(150):
@@ -135,18 +136,15 @@ def test_batched_ctc_is_bit_identical_per_utterance():
         for b, lp in enumerate(log_probs):
             padded[: len(lp), b] = lp  # padding rows stay other, valid distributions
 
-        log_p, dlogits, _, _ = ctc_forward_backward_batch(padded, lengths, labels)
+        log_p, dlogits, log_alpha, log_beta = ctc_forward_backward_batch(padded, lengths, labels)
         for b, (lp, seq) in enumerate(zip(log_probs, labels)):
-            alone = ctc_forward_backward(lp, seq)
-            assert -log_p[b] == alone.neg_log_likelihood
-            assert np.array_equal(dlogits[: len(lp), b], alone.dlogits)
-            assert not dlogits[len(lp):, b].any()
-
             nll, grad, alpha, beta = oracle_ctc_forward_backward(lp, seq)
-            assert alone.neg_log_likelihood == nll
-            assert np.array_equal(alone.dlogits, grad)
-            assert np.array_equal(alone.log_alpha, alpha)
-            assert np.array_equal(alone.log_beta, beta)
+            t_len, n_pos = alpha.shape
+            assert -log_p[b] == nll
+            assert np.array_equal(dlogits[:t_len, b], grad)
+            assert not dlogits[t_len:, b].any()
+            assert np.array_equal(log_alpha[:t_len, b, :n_pos], alpha)
+            assert np.array_equal(log_beta[:t_len, b, :n_pos], beta)
             checked += 1
     assert checked > 300
 
@@ -199,7 +197,7 @@ def test_train_epoch_matches_per_utterance_epoch(kk, bidirectional):
                       bidirectional=bidirectional, dropout_keep=0.8)
     tc = TrainConfig(learning_rate=0.01, batch_size=3, dropout_keep=0.8, seed=6)
     params = init_params(cfg)
-    ref_params = copy_params(params)
+    ref_params = ModelParams(params.spec, params.vector.copy())
     state = OptimizerState(zeros_like_params(params))
     ref_state = OptimizerState(zeros_like_params(params))
 

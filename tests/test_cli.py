@@ -211,8 +211,17 @@ class TestPrepare:
         assert kept == ["t11.mfcc", "d15.mfcc", "w11.wav"]
 
     @pytest.mark.parametrize(
-        "line", ["5", '{"audio": "a.wav", "text": "x", "duration_s": [1]}'],
-        ids=["non-object-row", "non-numeric-duration"],
+        "line", [
+            "5",
+            '{"audio": "a.wav", "text": "x", "duration_s": [1]}',
+            '{"audio": "a.wav", "text": "x", "duration_s": true}',
+            '{"audio": "a.wav", "text": "x", "duration_s": "12"}',
+            '{"audio": "a.wav", "text": "x", "duration_s": -3}',
+            '{"audio": "a.wav", "text": "x", "duration_s": NaN}',
+            '{"audio": "a.wav", "text": "x", "duration_s": Infinity}',
+        ],
+        ids=["non-object-row", "non-numeric-duration", "bool-duration", "string-duration",
+             "negative-duration", "nan-duration", "infinite-duration"],
     )
     def test_malformed_manifest_row_is_a_data_error(self, tmp_path, capsys, line):
         manifest = tmp_path / "raw.jsonl"

@@ -27,7 +27,7 @@ from ctcx.frontend import (
     mel_to_hz,
     resampled_length,
 )
-from conftest import fail_writes_halfway
+from helpers import fail_writes_halfway
 from oracles import oracle_resample
 
 
@@ -116,6 +116,23 @@ class TestWavIO:
         path = tmp_path / "eight.wav"
         path.write_bytes(header + data)
         with pytest.raises(WavFormatError, match="bits=8"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("rate,data,problem", [
+        (0, b"\0\0" * 4, "sample rate 0"),
+        (16000, b"", "empty data chunk"),
+    ], ids=["zero-rate", "empty-data"])
+    def test_unreadable_clip_is_a_wav_format_error(self, tmp_path, rate, data, problem):
+        import struct
+
+        header = (
+            b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, 2 * rate, 2, 16)
+            + b"data" + struct.pack("<I", len(data))
+        )
+        path = tmp_path / "x.wav"
+        path.write_bytes(header + data)
+        with pytest.raises(WavFormatError, match=f"x.wav: {problem}"):
             load_wav(path)
 
 
@@ -381,8 +398,19 @@ class TestManifest:
             ("5", "m.jsonl:2: manifest row is not a JSON object"),
             ('{"audio": "b.wav", "text": "y", "duration_s": [1]}',
              r"m.jsonl:2: duration_s \[1\] is not a number"),
+            ('{"audio": "b.wav", "text": "y", "duration_s": true}',
+             "m.jsonl:2: duration_s True is not a number"),
+            ('{"audio": "b.wav", "text": "y", "duration_s": "12"}',
+             "m.jsonl:2: duration_s '12' is not a number"),
+            ('{"audio": "b.wav", "text": "y", "duration_s": -3}',
+             "m.jsonl:2: duration_s -3 is negative or not finite"),
+            ('{"audio": "b.wav", "text": "y", "duration_s": NaN}',
+             "m.jsonl:2: duration_s nan is negative or not finite"),
+            ('{"audio": "b.wav", "text": "y", "duration_s": Infinity}',
+             "m.jsonl:2: duration_s inf is negative or not finite"),
         ],
-        ids=["non-object-row", "non-numeric-duration"],
+        ids=["non-object-row", "non-numeric-duration", "bool-duration", "string-duration",
+             "negative-duration", "nan-duration", "infinite-duration"],
     )
     def test_malformed_row_names_path_and_line(self, tmp_path, line, match):
         path = tmp_path / "m.jsonl"

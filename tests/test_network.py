@@ -3,8 +3,7 @@ import pytest
 
 from ctcx import (
     ModelConfig,
-    backward,
-    ctc_forward_backward,
+    ModelParams,
     forward,
     init_params,
     log_softmax,
@@ -12,10 +11,11 @@ from ctcx import (
     tensor_spec,
 )
 from ctcx.network import (
-    copy_params,
+    backward_batch,
     validate_params,
     zeros_like_params,
 )
+from helpers import ctc_one
 from oracles import max_relative_error, network_fd_grads
 
 
@@ -132,7 +132,7 @@ class TestGateEquations:
         with np.errstate(over="raise", invalid="raise"):
             hidden = recurrent_hidden_outputs(params, cfg, x)
             logits, cache = forward(params, cfg, x)
-            grads = backward(params, cfg, cache, rng.standard_normal(logits.shape))
+            grads = backward_batch(params, cfg, cache, rng.standard_normal(logits.shape)[:, None])
 
         expected = np.tile(np.tanh(sign), (6, 2))
         for out in hidden:
@@ -231,7 +231,7 @@ class TestDirectionSymmetry:
         def col_swapped(arr):
             return np.hstack([arr[:, h:], arr[:, :h]])
 
-        swapped = copy_params(params)
+        swapped = ModelParams(params.spec, params.vector.copy())
         for li in range(cfg.num_layers):
             for to, frm in (("fwd", "bwd"), ("bwd", "fwd")):
                 w_input, w_recurrent, bias = params.direction(li, frm)
@@ -258,22 +258,22 @@ class TestBackward:
         _, cache = forward(params, cfg, rng.standard_normal((5, 3)))
         other = small_cfg(seed=99)
         with pytest.raises(ValueError, match="different model config"):
-            backward(params, other, cache, np.zeros((5, 4)))
+            backward_batch(params, other, cache, np.zeros((5, 1, 4)))
 
     def test_dlogits_shape_checked(self, rng):
         cfg = small_cfg()
         params = init_params(cfg)
         _, cache = forward(params, cfg, rng.standard_normal((5, 3)))
         with pytest.raises(ValueError, match="dlogits shape"):
-            backward(params, cfg, cache, np.zeros((4, 4)))
+            backward_batch(params, cfg, cache, np.zeros((4, 1, 4)))
 
     def test_gradient_shapes_mirror_params(self, rng):
         cfg = small_cfg(bidirectional=True)
         params = init_params(cfg)
         x = rng.standard_normal((5, 3))
         logits, cache = forward(params, cfg, x)
-        res = ctc_forward_backward(log_softmax(logits), [0, 1])
-        grads = backward(params, cfg, cache, res.dlogits)
+        dlogits = ctc_one(log_softmax(logits), [0, 1])[1]
+        grads = backward_batch(params, cfg, cache, dlogits[:, None])
         for (n1, p), (n2, g) in zip(params.tensors.items(), grads.tensors.items()):
             assert n1 == n2 and p.shape == g.shape
 
@@ -285,8 +285,8 @@ class TestBackward:
         x = rng.standard_normal((4, 3))
         labels = [0, 2]
         logits, cache = forward(params, cfg, x, train_mode=False)
-        res = ctc_forward_backward(log_softmax(logits), labels)
-        analytic = list(backward(params, cfg, cache, res.dlogits).tensors.items())
+        dlogits = ctc_one(log_softmax(logits), labels)[1]
+        analytic = list(backward_batch(params, cfg, cache, dlogits[:, None]).tensors.items())
         numeric = network_fd_grads(params, cfg, x, labels, train_mode=False, dropout_seed=0)
         assert max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
 

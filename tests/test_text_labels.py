@@ -10,6 +10,7 @@ from ctcx import (
     overlap_ratio,
     save_alphabet,
 )
+from helpers import fail_writes_halfway
 
 
 class TestBuiltinAlphabets:
@@ -137,3 +138,14 @@ class TestAlphabetFiles:
         path = tmp_path / "letters.alphabet"
         save_alphabet(ru, path)
         assert load_alphabet(path, name="custom").name == "custom"
+
+    def test_failed_save_keeps_the_old_file(self, kk, ru, tmp_path, monkeypatch):
+        path = tmp_path / "letters.alphabet"
+        save_alphabet(ru, path)
+        before = path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            save_alphabet(kk, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["letters.alphabet"]

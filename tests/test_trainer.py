@@ -24,14 +24,14 @@ from ctcx import (
     write_corpus,
     write_feature_cache,
 )
-from ctcx.network import copy_params, zeros_like_params
+from ctcx.network import ModelParams, zeros_like_params
 from ctcx.trainer import (
     METRICS_HEADER,
     clip_gradients,
     global_grad_norm,
     min_frames_rule,
 )
-from conftest import corpus_utterances
+from helpers import corpus_utterances
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ class TestGradientClipping:
         grads, _ = tiny_params()
         for _, g in grads.tensors.items():
             g[...] = 0.001
-        before = copy_params(grads)
+        before = ModelParams(grads.spec, grads.vector.copy())
         clip_gradients(grads, 5.0)
         for (_, a), (_, b) in zip(before.tensors.items(), grads.tensors.items()):
             np.testing.assert_array_equal(a, b)
@@ -145,7 +145,7 @@ class TestMomentumStep:
     def test_plain_sgd_step_reaches_zero(self):
         # lr 1, no momentum, gradient equal to the weights themselves
         params, _ = tiny_params()
-        grads = copy_params(params)
+        grads = ModelParams(params.spec, params.vector.copy())
         state = OptimizerState(zeros_like_params(params))
         cfg = TrainConfig(learning_rate=1.0, momentum=0.0, grad_clip_norm=None)
         assert momentum_step(params, grads, state, cfg)
@@ -154,7 +154,7 @@ class TestMomentumStep:
 
     def test_zero_gradient_is_a_noop(self):
         params, _ = tiny_params()
-        before = copy_params(params)
+        before = ModelParams(params.spec, params.vector.copy())
         state = OptimizerState(zeros_like_params(params))
         momentum_step(params, zeros_like_params(params), state, TrainConfig())
         for (_, a), (_, b) in zip(before.tensors.items(), params.tensors.items()):
@@ -164,7 +164,7 @@ class TestMomentumStep:
         # constant gradient g, mu=0.9: after two steps theta moved by
         # -lr*(g + (0.9*g + g)) = -2.9*lr*g
         params, _ = tiny_params()
-        before = copy_params(params)
+        before = ModelParams(params.spec, params.vector.copy())
         state = OptimizerState(zeros_like_params(params))
         cfg = TrainConfig(learning_rate=0.01, momentum=0.9, grad_clip_norm=None)
         g_value = 0.125  # exact in binary, keeps the check tight
@@ -179,7 +179,7 @@ class TestMomentumStep:
 
     def test_non_finite_gradient_skips_step(self, caplog):
         params, _ = tiny_params()
-        before = copy_params(params)
+        before = ModelParams(params.spec, params.vector.copy())
         grads = zeros_like_params(params)
         grads.dense_w[0, 0] = np.nan
         state = OptimizerState(zeros_like_params(params))
@@ -192,7 +192,7 @@ class TestMomentumStep:
 
     def test_clipping_applied_before_update(self):
         params, _ = tiny_params()
-        before = copy_params(params)
+        before = ModelParams(params.spec, params.vector.copy())
         grads = zeros_like_params(params)
         for _, g in grads.tensors.items():
             g += 1000.0
@@ -213,7 +213,7 @@ class TestTrainEpoch:
         data = self.data(toy)
         cfg = toy_model_cfg(toy, dropout_keep=1.0)
         params = init_params(cfg)
-        before = copy_params(params)
+        before = ModelParams(params.spec, params.vector.copy())
         state = OptimizerState(zeros_like_params(params))
         cost, ler = train_epoch(params, cfg, data, TrainConfig(dropout_keep=1.0), state, 1)
         assert math.isfinite(cost) and cost > 0
@@ -253,7 +253,7 @@ class TestTrainEpoch:
         data = self.data(toy)
         cfg = toy_model_cfg(toy, dropout_keep=1.0)
         params = init_params(cfg)
-        before = copy_params(params)
+        before = ModelParams(params.spec, params.vector.copy())
         state = OptimizerState(zeros_like_params(params))
         tc = TrainConfig(learning_rate=0.0, dropout_keep=1.0)
         train_epoch(params, cfg, data, tc, state, 1)
@@ -393,7 +393,7 @@ class TestTrain:
         warm = init_params(ModelConfig(**{**cfg.__dict__, "seed": 123}))
         expected_first = evaluate(warm, cfg, data)[0]
         tc = TrainConfig(learning_rate=0.0, epochs=1, dropout_keep=1.0)
-        _, rows = train(data, [], toy, cfg, tc, params=copy_params(warm))
+        _, rows = train(data, [], toy, cfg, tc, params=ModelParams(warm.spec, warm.vector.copy()))
         # lr 0 and no dropout: the recorded cost is the warm model's own
         assert rows[0].train_cost == pytest.approx(expected_first, rel=1e-12)
 

@@ -24,7 +24,7 @@ from ctcx import (
     write_checkpoint,
 )
 from ctcx.cli import main as cli_main
-from conftest import fail_writes_halfway
+from helpers import fail_writes_halfway
 
 
 def small_cfg(**kw):
