@@ -15,7 +15,9 @@ Conventions, fixed across the toolkit:
 All recursions run in log space, over a time-major (T_max, B, ·) batch
 padded after each utterance's frames and extended labels (see
 ``ctc_forward_backward_batch``); ``ctc_loss`` runs one utterance as a batch
-of one.
+of one. Beta is the alpha recursion over each lattice reversed, so
+``ctc_forward_backward_batch`` gets both from one walk over 2B columns: the
+B lattices, then the B reversed ones.
 """
 from __future__ import annotations
 
@@ -114,16 +116,14 @@ def _walk(ly: np.ndarray, ext: np.ndarray, blank: int) -> tuple[np.ndarray, np.n
     return pre, stay
 
 
-def _log_alpha(log_probs: np.ndarray, lat: _Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """Forward lattices and each utterance's log-likelihood (-inf when
-    infeasible), read out at ``(T_b - 1, S_b - 2 : S_b)``."""
-    ly = np.take_along_axis(log_probs, lat.ext[None], axis=2)
-    _, alpha = _walk(ly, lat.ext, log_probs.shape[2] - 1)
+def _log_likelihood(alpha: np.ndarray, lat: _Lattice) -> np.ndarray:
+    """Each utterance's log-likelihood (-inf when infeasible), read out of its
+    forward lattice at ``(T_b - 1, S_b - 2 : S_b)``."""
     cols = np.arange(len(lat.lengths))
     end = alpha[lat.lengths - 1, cols]  # (B, S_max)
     last = end[cols, lat.ext_len - 1]
     pair = np.logaddexp(end[cols, np.maximum(lat.ext_len - 2, 0)], last)
-    return alpha, np.where(lat.ext_len > 1, pair, last)
+    return np.where(lat.ext_len > 1, pair, last)
 
 
 def ctc_loss(log_probs: np.ndarray, labels) -> float:
@@ -136,7 +136,10 @@ def ctc_loss(log_probs: np.ndarray, labels) -> float:
     if log_probs.ndim != 2:
         raise ValueError(f"expected a T x C matrix, got shape {log_probs.shape}")
     batch = log_probs[:, None]
-    return -float(_log_alpha(batch, _lattice(batch, [len(log_probs)], [labels]))[1][0])
+    lat = _lattice(batch, [len(log_probs)], [labels])
+    ly = np.take_along_axis(batch, lat.ext[None], axis=2)
+    _, alpha = _walk(ly, lat.ext, batch.shape[2] - 1)
+    return -float(_log_likelihood(alpha, lat)[0])
 
 
 def ctc_forward_backward_batch(
@@ -157,22 +160,25 @@ def ctc_forward_backward_batch(
     never reaches a valid cell and each utterance's results are
     bit-identical to a batch of one. Beta is the same walk over each
     utterance reversed within its own ``T_b`` and ``S_b``, read before the
-    emission.
+    emission; the walk treats each column on its own, so both come from
+    one walk over the B lattices and then the B reversed ones.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     if log_probs.ndim != 3:
         raise ValueError(f"expected a T x B x C array, got shape {log_probs.shape}")
     blank = log_probs.shape[2] - 1
     lat = _lattice(log_probs, lengths, labels)
-    alpha, log_p = _log_alpha(log_probs, lat)
-
-    n_pos = lat.ext.shape[1]
-    t_rev, cols = reverse_within(lat.lengths, len(log_probs)), np.arange(len(lat.lengths))
+    n_batch, n_pos = lat.ext.shape
+    t_rev, cols = reverse_within(lat.lengths, len(log_probs)), np.arange(n_batch)
     s_rev = reverse_within(lat.ext_len, n_pos).T
     ext_rev = np.take_along_axis(lat.ext, s_rev, axis=1)
-    ly_rev = np.take_along_axis(log_probs[t_rev, cols], ext_rev[None], axis=2)
-    beta_rev, _ = _walk(ly_rev, ext_rev, blank)
-    beta = beta_rev[t_rev[:, :, None], cols[:, None], s_rev]
+    ly = np.take_along_axis(log_probs, lat.ext[None], axis=2)
+    # columns [0, B) walk the lattices, columns [B, 2B) the reversed ones
+    ly_both = np.concatenate([ly, ly[t_rev[:, :, None], cols[:, None], s_rev]], axis=1)
+    pre, post = _walk(ly_both, np.concatenate([lat.ext, ext_rev]), blank)
+    alpha = post[:, :n_batch]
+    beta = pre[t_rev[:, :, None], n_batch + cols[:, None], s_rev]
+    log_p = _log_likelihood(alpha, lat)
 
     # log_q[t, b, k] sums gamma over the valid s with ext[b, s] == k, in order of s;
     # logaddexp(x, -inf) == x, so -inf at the padded positions adds nothing

@@ -386,9 +386,13 @@ def _cache_shape(head: bytes, size: int, path) -> tuple[int, int]:
 
 
 def read_feature_cache(path) -> np.ndarray:
+    """The (T, F) float64 features of a cache file; ValueError when the header
+    does not match the size or a value is not finite."""
     raw = Path(path).read_bytes()
     t, f = _cache_shape(raw, len(raw), path)
     values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, f)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: feature cache holds non-finite values")
     return values.astype(np.float64)
 
 

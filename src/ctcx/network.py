@@ -9,17 +9,21 @@ Gate activations: each step applies one expression, ``(1 - k) + k *
 tanh(k * z)``, to its whole 4H pre-activation ``z``, with ``k = 1/2`` on the
 input, forget and output blocks and ``k = 1`` on the cell block. Because
 ``sigmoid(z) = 1/2 + 1/2 tanh(z/2)``, that is the sigmoid on three blocks and
-tanh on the fourth, and it cannot overflow at any ``z``. A direction keeps its
-activations as one (T, B, 4H) array in the same [i, f, g, o] order, and
+tanh on the fourth, and it cannot overflow at any ``z``. A layer keeps its
+activations as one (T, n, B, 4H) array in the same [i, f, g, o] order, and
 backward turns it into the pre-activation gradient with one slope,
 ``(1 - a) * (a + 2k - 1)``.
 
 Batch layout: a minibatch runs time-major as (T_max, B, ·) arrays, each
-utterance front-aligned and zero-padded after its own T_b frames, so every
-recurrent step is one (B, H) @ (H, 4H) product written into preallocated
-rows. The backward direction reverses each utterance within its own length
-(``reverse_within``), which keeps the padding after the valid steps there
-too. Padding needs no mask: a padded step comes after every valid step of
+utterance front-aligned and zero-padded after its own T_b frames. A layer's
+directions are independent, so they share one time loop over (T_max, n, B,
+·) arrays with a direction axis of size n (1 for the LSTM, 2 for the
+BiLSTM): every step is one (n, B, H) @ (n, H, 4H) product and one set of
+gate and cell operations on (n, B, ·) rows, written into preallocated rows.
+The backward direction's input is each utterance reversed within its own
+length (``reverse_within``), which keeps the padding after the valid steps
+there too; its output is reversed back before the two are concatenated.
+Padding needs no mask: a padded step comes after every valid step of
 its utterance in both directions, so it never feeds one, and backward
 starts it with ``dh_out = 0`` (CTC gives padded rows zero gradient), so its
 ``dz`` is exactly 0 and it adds nothing to the weight gradients, which are
@@ -62,8 +66,12 @@ class ModelConfig:
             raise ValueError("bad feature_dim / num_classes")
 
     @property
+    def direction_names(self) -> tuple[str, ...]:
+        return ("fwd", "bwd") if self.bidirectional else ("fwd",)
+
+    @property
     def directions(self) -> int:
-        return 2 if self.bidirectional else 1
+        return len(self.direction_names)
 
     @property
     def layer_output_dim(self) -> int:
@@ -79,8 +87,7 @@ def tensor_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     h = cfg.hidden
     for li in range(cfg.num_layers):
         d = cfg.layer_input_dim(li)
-        dirs = ("fwd", "bwd") if cfg.bidirectional else ("fwd",)
-        for direction in dirs:
+        for direction in cfg.direction_names:
             prefix = f"layer{li + 1}.{direction}"
             spec.append((f"{prefix}.w_input", (4 * h, d)))
             spec.append((f"{prefix}.w_recurrent", (4 * h, h)))
@@ -123,6 +130,10 @@ class ModelParams:
         prefix = f"layer{layer_index + 1}.{direction}"
         kinds = ("w_input", "w_recurrent", "bias")
         return tuple(self.tensors[f"{prefix}.{kind}"] for kind in kinds)
+
+    def layer(self, layer_index: int, cfg: ModelConfig) -> list[tuple[np.ndarray, ...]]:
+        """``direction`` of every direction of one layer, forward first."""
+        return [self.direction(layer_index, name) for name in cfg.direction_names]
 
 
 def validate_params(params: ModelParams, cfg: ModelConfig) -> None:
@@ -192,38 +203,44 @@ def _reversed(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _DirectionCache:
-    """Activations of one direction over a batch, in its own time order."""
+class _LayerCache:
+    """Activations of one layer's n directions over a batch, each direction in
+    its own time order."""
 
-    x: np.ndarray        # (T, B, D) input as seen by this direction
-    gates: np.ndarray    # (T, B, 4H) activations [i, f, g, o]
-    c: np.ndarray        # (T + 1, B, H) cell states; row 0 is the zero initial state
-    tanh_c: np.ndarray   # (T, B, H) tanh of c[1:]
-    h: np.ndarray        # (T + 1, B, H) hidden states; row 0 is the zero initial state
+    x: np.ndarray        # (n, T, B, D) input as seen by each direction
+    gates: np.ndarray    # (T, n, B, 4H) activations [i, f, g, o]
+    c: np.ndarray        # (T + 1, n, B, H) cell states; row 0 is the zero initial state
+    tanh_c: np.ndarray   # (T, n, B, H) tanh of c[1:]
+    h: np.ndarray        # (T + 1, n, B, H) hidden states; row 0 is the zero initial state
 
 
-def _direction_forward(
-    lp: tuple[np.ndarray, ...], x: np.ndarray
-) -> tuple[np.ndarray, _DirectionCache]:
-    w_input, w_recurrent, bias = lp
-    t_len, n_batch, d_in = x.shape
-    h_dim = w_recurrent.shape[1]
+def _layer_forward(
+    lps: list[tuple[np.ndarray, ...]], x: np.ndarray
+) -> tuple[np.ndarray, _LayerCache]:
+    """Run the n directions whose (w_input, w_recurrent, bias) are ``lps`` over
+    their (n, T, B, D) inputs ``x``; returns the (T, n, B, H) hidden outputs."""
+    n_dir, t_len, n_batch, d_in = x.shape
+    h_dim = lps[0][1].shape[1]
     k = _gate_scales(h_dim)
     offset = 1.0 - k
-    z_in = (x.reshape(-1, d_in) @ w_input.T + bias).reshape(t_len, n_batch, 4 * h_dim)
-    w_rec_t = w_recurrent.T
+    # gates start as the input pre-activations; each step adds the recurrent part
+    gates = np.empty((t_len, n_dir, n_batch, 4 * h_dim))
+    for d, (w_input, _, bias) in enumerate(lps):
+        z_in = x[d].reshape(-1, d_in) @ w_input.T
+        np.add(z_in.reshape(t_len, n_batch, -1), bias, out=gates[:, d])
+    w_rec_t = np.stack([w_rec for _, w_rec, _ in lps]).transpose(0, 2, 1)
 
-    gates = np.empty((t_len, n_batch, 4 * h_dim))
-    c = np.zeros((t_len + 1, n_batch, h_dim))
-    tanh_c = np.empty((t_len, n_batch, h_dim))
-    h = np.zeros((t_len + 1, n_batch, h_dim))
-    i, f, g, o = (gates[:, :, j * h_dim : (j + 1) * h_dim] for j in range(4))
-    ig = np.empty((n_batch, h_dim))
+    c = np.zeros((t_len + 1, n_dir, n_batch, h_dim))
+    tanh_c = np.empty((t_len, n_dir, n_batch, h_dim))
+    h = np.zeros((t_len + 1, n_dir, n_batch, h_dim))
+    i, f, g, o = (gates[..., j * h_dim : (j + 1) * h_dim] for j in range(4))
+    ig = np.empty((n_dir, n_batch, h_dim))
+    rec = np.empty((n_dir, n_batch, 4 * h_dim))
     # every step writes into preallocated rows, so B=1 costs no more than a vector step
     for t in range(t_len):
         a = gates[t]
-        np.matmul(h[t], w_rec_t, out=a)
-        a += z_in[t]
+        np.matmul(h[t], w_rec_t, out=rec)
+        a += rec
         a *= k
         np.tanh(a, out=a)
         a *= k
@@ -234,59 +251,80 @@ def _direction_forward(
         np.tanh(c[t + 1], out=tanh_c[t])
         np.multiply(o[t], tanh_c[t], out=h[t + 1])
 
-    return h[1:], _DirectionCache(x, gates, c, tanh_c, h)
+    return h[1:], _LayerCache(x, gates, c, tanh_c, h)
 
 
-def _direction_backward(
-    lp: tuple[np.ndarray, ...],
-    grad: tuple[np.ndarray, ...],
-    cache: _DirectionCache,
+def _layer_backward(
+    lps: list[tuple[np.ndarray, ...]],
+    grads: list[tuple[np.ndarray, ...]],
+    cache: _LayerCache,
     dh_out: np.ndarray,
 ) -> np.ndarray:
-    """Writes the direction's batch-summed gradients into ``grad``; returns the
-    (T, B, D) input gradient."""
-    w_input, w_rec, _ = lp
-    t_len, n_batch, h_dim = dh_out.shape
+    """Backpropagate the (T, n, B, H) output gradients ``dh_out``, each in its
+    direction's time order. Writes each direction's batch-summed gradients
+    into ``grads[d]``; returns the (n, T, B, D) input gradients."""
+    n_dir, t_len, n_batch, d_in = cache.x.shape
+    h_dim = dh_out.shape[3]
+    blocks = (t_len, n_dir, n_batch, 4, h_dim)
     gates, tanh_c = cache.gates, cache.tanh_c
-    i, f, g, o = np.split(gates, 4, axis=2)
-    # d gate / d z of (1 - k) + k tanh(k z), written in the activation a
-    slope = (1.0 - gates) * (gates + (2.0 * _gate_scales(h_dim) - 1.0))
-    # dz_t = u_t * local_t with u_t = [dc, dc, dc, dh]: d c_t / d [i, f, g] and d h_t / d o
-    local = np.concatenate([g, cache.c[:-1], i, tanh_c], axis=2) * slope
+    i, f, g, o = (gates.reshape(blocks)[:, :, :, j] for j in range(4))
+    # The two per-step tables are built block by block in place and the loop
+    # writes dz over local: at H = 128 each table-sized temporary would take
+    # fresh memory pages on every call.
+    # dz_t = u_t * local_t with u_t = [dc, dc, dc, dh]: d c_t / d [i, f, g] and d h_t / d o,
+    # times the slope d gate / d z of (1 - k) + k tanh(k z), written in the activation a.
+    # local is direction-major, so each direction's dz is one block for its weight gradients.
+    m = np.empty(blocks)
+    local = np.subtract(1.0, gates.transpose(1, 0, 2, 3))
+    slope_factor = m.reshape(gates.shape)  # m's memory, until m is filled below
+    np.add(gates, 2.0 * _gate_scales(h_dim) - 1.0, out=slope_factor)
+    local *= slope_factor.transpose(1, 0, 2, 3)
+    local4 = local.reshape(n_dir, t_len, n_batch, 4, h_dim)
+    for j, factor in enumerate((g, cache.c[:-1], i, tanh_c)):
+        local4[:, :, :, j] *= factor.transpose(1, 0, 2, 3)
     # u_t = dh_t * m_t + v_{t+1} with m_t = [dc/dh, dc/dh, dc/dh, 1], and the
-    # carry v_t = u_t * [f, f, f, 0] = [dc_next, dc_next, dc_next, 0]
-    m = np.concatenate([np.tile(o * (1.0 - tanh_c**2), 3), np.ones_like(tanh_c)], axis=2)
-    carry = np.concatenate([np.tile(f, 3), np.zeros_like(f)], axis=2)
-    dz = np.empty((t_len, n_batch, 4 * h_dim))
-    dh = np.empty((n_batch, 1, h_dim))
-    u = np.empty((n_batch, 4 * h_dim))
-    v = np.zeros((n_batch, 4 * h_dim))
-    dh_next = np.zeros((n_batch, h_dim))
-    u4, dh_out4 = u.reshape(n_batch, 4, h_dim), dh_out.reshape(t_len, n_batch, 1, h_dim)
-    m4 = m.reshape(t_len, n_batch, 4, h_dim)
+    # carry v_t = [dc_t f_t, dc_t f_t, dc_t f_t, 0]: d c_{t-1}, and nothing into dh
+    dc_dh = m[:, :, :, 0]
+    np.square(tanh_c, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    m[:, :, :, 1:3] = dc_dh[:, :, :, None]
+    m[:, :, :, 3] = 1.0
+
+    w_rec = np.stack([w for _, w, _ in lps])  # (n, 4H, H)
+    dh = np.empty((n_dir, n_batch, 1, h_dim))
+    u = np.empty((n_dir, n_batch, 4, h_dim))
+    v = np.zeros((n_dir, n_batch, 4, h_dim))
+    dh_next = np.zeros((n_dir, n_batch, h_dim))
+    u_flat = u.reshape(n_dir, n_batch, 4 * h_dim)
+    dh_out4 = dh_out.reshape(t_len, n_dir, n_batch, 1, h_dim)
+    f4 = f[:, :, :, None]
 
     for t in range(t_len - 1, -1, -1):
-        np.add(dh_out4[t], dh_next[:, None], out=dh)
-        np.multiply(dh, m4[t], out=u4)
+        np.add(dh_out4[t], dh_next[:, :, None], out=dh)
+        np.multiply(dh, m[t], out=u)
         u += v
-        np.multiply(u, local[t], out=dz[t])
-        np.matmul(dz[t], w_rec, out=dh_next)
-        np.multiply(u, carry[t], out=v)
+        dz = local[:, t]
+        dz *= u_flat
+        np.matmul(dz, w_rec, out=dh_next)
+        np.multiply(u[:, :, :3], f4[t], out=v[:, :, :3])
 
-    # one product over all T * B rows sums the batch
-    dz = dz.reshape(-1, 4 * h_dim)
-    g_input, g_recurrent, g_bias = grad
-    g_input[...] = dz.T @ cache.x.reshape(-1, w_input.shape[1])
-    g_recurrent[...] = dz.T @ cache.h[:-1].reshape(-1, h_dim)
-    g_bias[...] = dz.sum(axis=0)
-    return (dz @ w_input).reshape(t_len, n_batch, -1)
+    # one product over all T * B rows of a direction sums the batch
+    dx = np.empty((n_dir, t_len, n_batch, d_in))
+    for d, ((w_input, _, _), (g_input, g_recurrent, g_bias)) in enumerate(zip(lps, grads)):
+        dz_d = local[d].reshape(-1, 4 * h_dim)
+        g_input[...] = dz_d.T @ cache.x[d].reshape(-1, d_in)
+        g_recurrent[...] = dz_d.T @ cache.h[:-1, d].reshape(-1, h_dim)
+        g_bias[...] = dz_d.sum(axis=0)
+        np.matmul(dz_d, w_input, out=dx[d].reshape(-1, d_in))
+    return dx
 
 
 @dataclass
 class ForwardCache:
     cfg: ModelConfig
     lengths: np.ndarray  # (B,) frames of each utterance
-    dir_caches: list[tuple[_DirectionCache, _DirectionCache | None]]
+    layers: list[_LayerCache]
     masks: list[np.ndarray | None]  # per layer (T, B, R), zero on padding
     final_hidden: np.ndarray  # (T, B, R)
 
@@ -315,16 +353,15 @@ def _stack_forward(
     dropout = dropout_seeds is not None and cfg.dropout_keep < 1.0
     # one generator per utterance, drawn layer by layer, as in a batch of one
     rngs = [np.random.default_rng(seed) for seed in dropout_seeds] if dropout else []
-    dir_caches, masks = [], []
+    layer_caches, masks = [], []
     outputs = []
     for li in range(cfg.num_layers):
-        out, c_fwd = _direction_forward(params.direction(li, "fwd"), x)
-        c_bwd = None
+        xs = [x, _reversed(x, lengths)] if cfg.bidirectional else [x]
+        h_dirs, layer_cache = _layer_forward(params.layer(li, cfg), np.stack(xs))
+        out = h_dirs[:, 0]
         if cfg.bidirectional:
-            x_rev = _reversed(x, lengths)
-            h_bwd_rev, c_bwd = _direction_forward(params.direction(li, "bwd"), x_rev)
-            out = np.concatenate([out, _reversed(h_bwd_rev, lengths)], axis=2)
-        dir_caches.append((c_fwd, c_bwd))
+            out = np.concatenate([out, _reversed(h_dirs[:, 1], lengths)], axis=2)
+        layer_caches.append(layer_cache)
         mask = None
         if dropout:
             keep = [rng.random((n, out.shape[2])) < cfg.dropout_keep
@@ -334,7 +371,7 @@ def _stack_forward(
         masks.append(mask)
         outputs.append(out)
         x = out
-    return outputs, ForwardCache(cfg, lengths, dir_caches, masks, x)
+    return outputs, ForwardCache(cfg, lengths, layer_caches, masks, x)
 
 
 def forward_batch(
@@ -406,16 +443,12 @@ def backward_batch(
         mask = cache.masks[li]
         if mask is not None:
             dx = dx * mask
-        c_fwd, c_bwd = cache.dir_caches[li]
-        dx_f = _direction_backward(
-            params.direction(li, "fwd"), grads.direction(li, "fwd"), c_fwd, dx[:, :, :h]
+        dh = [dx[:, :, :h], _reversed(dx[:, :, h:], cache.lengths)] if cfg.bidirectional else [dx]
+        dxs = _layer_backward(
+            params.layer(li, cfg), grads.layer(li, cfg), cache.layers[li], np.stack(dh, axis=1)
         )
+        dx = dxs[0]
         if cfg.bidirectional:
-            dx_b_rev = _direction_backward(
-                params.direction(li, "bwd"), grads.direction(li, "bwd"), c_bwd,
-                _reversed(dx[:, :, h:], cache.lengths),
-            )
-            dx_f = dx_f + _reversed(dx_b_rev, cache.lengths)
-        dx = dx_f
+            dx = dx + _reversed(dxs[1], cache.lengths)
     return grads
 

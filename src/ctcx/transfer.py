@@ -110,7 +110,18 @@ def checkpoint_from_params(
     return Checkpoint(CHECKPOINT_VERSION, cfg, alphabet.name, "".join(alphabet.symbols), payload)
 
 
+def _check_finite(cfg: ModelConfig, payload: np.ndarray, path) -> None:
+    """Raise CheckpointError naming the first tensor that holds a NaN or an infinity."""
+    if np.isfinite(payload).all():
+        return
+    name = next(name for name, view in tensor_views(tensor_spec(cfg), payload)
+                if not np.isfinite(view).all())
+    raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
+
+
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` to ``path``; a payload ``read_checkpoint`` would refuse
+    (non-finite values) raises CheckpointError and writes nothing."""
     table = []
     offset = 0
     for name, shape in tensor_spec(ckpt.model_config):
@@ -120,6 +131,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         raise ValueError(
             f"payload of shape {ckpt.payload.shape} does not hold {offset // 4} values"
         )
+    _check_finite(ckpt.model_config, ckpt.payload, path)
     header = json.dumps(
         {
             "config": _config_to_dict(ckpt.model_config),
@@ -147,7 +159,7 @@ def read_checkpoint(path) -> Checkpoint:
     so ``Checkpoint.alphabet`` of a read checkpoint never raises. The tensor
     table must describe the packed layout ``write_checkpoint`` produces: spec
     order, each offset the total size of the tensors before it, and the
-    file ends with the last tensor.
+    file ends with the last tensor. Every value must be finite.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -211,6 +223,7 @@ def read_checkpoint(path) -> Checkpoint:
     if base + end != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - base - end} bytes after the last tensor")
     payload = np.frombuffer(raw, dtype="<f4", count=end // 4, offset=base)
+    _check_finite(cfg, payload, path)
     return Checkpoint(version, cfg, alphabet_name, alphabet_symbols, payload)
 
 

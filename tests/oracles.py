@@ -3,19 +3,20 @@
 These are deliberately written with different algorithms than the package
 (recursive memoized edit distance, exhaustive path enumeration, a beam
 search with one dict entry per prefix, a resampler that evaluates its
-kernel once per output sample) so that a shared bug cannot hide in
-both sides of an assertion.
+kernel once per output sample, an LSTM that runs one direction at a time)
+so that a shared bug cannot hide in both sides of an assertion.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ctcx import AudioClip, corpus_ler, forward, greedy_decode, log_softmax
 from ctcx.frontend import _KAISER_BETA, _ZERO_CROSSINGS, resampled_length
-from ctcx.network import backward_batch, zeros_like_params
+from ctcx.network import _gate_scales, backward_batch, zeros_like_params
 from ctcx.trainer import _dropout_seed, _epoch_order, momentum_step
 
 NEG_INF = -np.inf
@@ -225,6 +226,101 @@ def oracle_ctc_forward_backward(log_probs: np.ndarray, labels):
     for k in np.unique(ext):
         log_q[:, k] = np.logaddexp.reduce(gamma[:, ext == k], axis=1)
     return -log_p, np.exp(log_probs) - np.exp(log_q - log_p), alpha, beta
+
+
+@dataclass
+class OracleDirectionCache:
+    """Activations of one direction over a batch, in its own time order, as
+    ``oracle_direction_forward`` keeps them."""
+
+    x: np.ndarray        # (T, B, D) input as seen by this direction
+    gates: np.ndarray    # (T, B, 4H) activations [i, f, g, o]
+    c: np.ndarray        # (T + 1, B, H) cell states; row 0 is the zero initial state
+    tanh_c: np.ndarray   # (T, B, H) tanh of c[1:]
+    h: np.ndarray        # (T + 1, B, H) hidden states; row 0 is the zero initial state
+
+
+def oracle_direction_forward(
+    lp: tuple[np.ndarray, ...], x: np.ndarray
+) -> tuple[np.ndarray, OracleDirectionCache]:
+    """One LSTM direction over a (T, B, D) batch, one (B, H) @ (H, 4H)
+    product per step; the stacked ``network._layer_forward`` must equal it
+    exactly, direction by direction."""
+    w_input, w_recurrent, bias = lp
+    t_len, n_batch, d_in = x.shape
+    h_dim = w_recurrent.shape[1]
+    k = _gate_scales(h_dim)
+    offset = 1.0 - k
+    z_in = (x.reshape(-1, d_in) @ w_input.T + bias).reshape(t_len, n_batch, 4 * h_dim)
+    w_rec_t = w_recurrent.T
+
+    gates = np.empty((t_len, n_batch, 4 * h_dim))
+    c = np.zeros((t_len + 1, n_batch, h_dim))
+    tanh_c = np.empty((t_len, n_batch, h_dim))
+    h = np.zeros((t_len + 1, n_batch, h_dim))
+    i, f, g, o = (gates[:, :, j * h_dim : (j + 1) * h_dim] for j in range(4))
+    ig = np.empty((n_batch, h_dim))
+    # every step writes into preallocated rows, so B=1 costs no more than a vector step
+    for t in range(t_len):
+        a = gates[t]
+        np.matmul(h[t], w_rec_t, out=a)
+        a += z_in[t]
+        a *= k
+        np.tanh(a, out=a)
+        a *= k
+        a += offset
+        np.multiply(f[t], c[t], out=c[t + 1])
+        np.multiply(i[t], g[t], out=ig)
+        c[t + 1] += ig
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(o[t], tanh_c[t], out=h[t + 1])
+
+    return h[1:], OracleDirectionCache(x, gates, c, tanh_c, h)
+
+
+def oracle_direction_backward(
+    lp: tuple[np.ndarray, ...],
+    grad: tuple[np.ndarray, ...],
+    cache: OracleDirectionCache,
+    dh_out: np.ndarray,
+) -> np.ndarray:
+    """Writes the direction's batch-summed gradients into ``grad``; returns the
+    (T, B, D) input gradient."""
+    w_input, w_rec, _ = lp
+    t_len, n_batch, h_dim = dh_out.shape
+    gates, tanh_c = cache.gates, cache.tanh_c
+    i, f, g, o = np.split(gates, 4, axis=2)
+    # d gate / d z of (1 - k) + k tanh(k z), written in the activation a
+    slope = (1.0 - gates) * (gates + (2.0 * _gate_scales(h_dim) - 1.0))
+    # dz_t = u_t * local_t with u_t = [dc, dc, dc, dh]: d c_t / d [i, f, g] and d h_t / d o
+    local = np.concatenate([g, cache.c[:-1], i, tanh_c], axis=2) * slope
+    # u_t = dh_t * m_t + v_{t+1} with m_t = [dc/dh, dc/dh, dc/dh, 1], and the
+    # carry v_t = u_t * [f, f, f, 0] = [dc_next, dc_next, dc_next, 0]
+    m = np.concatenate([np.tile(o * (1.0 - tanh_c**2), 3), np.ones_like(tanh_c)], axis=2)
+    carry = np.concatenate([np.tile(f, 3), np.zeros_like(f)], axis=2)
+    dz = np.empty((t_len, n_batch, 4 * h_dim))
+    dh = np.empty((n_batch, 1, h_dim))
+    u = np.empty((n_batch, 4 * h_dim))
+    v = np.zeros((n_batch, 4 * h_dim))
+    dh_next = np.zeros((n_batch, h_dim))
+    u4, dh_out4 = u.reshape(n_batch, 4, h_dim), dh_out.reshape(t_len, n_batch, 1, h_dim)
+    m4 = m.reshape(t_len, n_batch, 4, h_dim)
+
+    for t in range(t_len - 1, -1, -1):
+        np.add(dh_out4[t], dh_next[:, None], out=dh)
+        np.multiply(dh, m4[t], out=u4)
+        u += v
+        np.multiply(u, local[t], out=dz[t])
+        np.matmul(dz[t], w_rec, out=dh_next)
+        np.multiply(u, carry[t], out=v)
+
+    # one product over all T * B rows sums the batch
+    dz = dz.reshape(-1, 4 * h_dim)
+    g_input, g_recurrent, g_bias = grad
+    g_input[...] = dz.T @ cache.x.reshape(-1, w_input.shape[1])
+    g_recurrent[...] = dz.T @ cache.h[:-1].reshape(-1, h_dim)
+    g_bias[...] = dz.sum(axis=0)
+    return (dz @ w_input).reshape(t_len, n_batch, -1)
 
 
 def oracle_resample(clip: AudioClip, target_hz: int) -> AudioClip:

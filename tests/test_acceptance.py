@@ -225,6 +225,7 @@ def test_08_checkpoints_round_trip_bit_identical(tmp_path):
             np.testing.assert_array_equal(a, b, err_msg=f"model {i} tensor {n1}")
 
 
+@pytest.mark.slow
 def test_09_small_corpus_overfits_quickly():
     """10 synthetic kk utterances, BiLSTM H=16: LER < 0.05 within 300 epochs, < 5 min."""
     kk = builtin_alphabet("kk")
@@ -248,6 +249,7 @@ def test_09_small_corpus_overfits_quickly():
     assert elapsed < 300.0, f"overfit run took {elapsed:.0f} s"
 
 
+@pytest.mark.slow
 def test_10_transfer_init_beats_random_init_at_desk_scale():
     """Median over 3 seeds: lower cost at epoch 100, no worse LER at epoch 200."""
     started = time.monotonic()

@@ -24,7 +24,9 @@ from ctcx import (
 )
 from ctcx.ctc import ctc_forward_backward_batch
 from ctcx.network import (
-    _direction_backward,
+    _layer_backward,
+    _layer_forward,
+    _reversed,
     backward_batch,
     forward_batch,
     pad_batch,
@@ -33,7 +35,12 @@ from ctcx.network import (
 )
 from ctcx.trainer import _dropout_seed
 from helpers import corpus_utterances
-from oracles import oracle_ctc_forward_backward, oracle_train_epoch
+from oracles import (
+    oracle_ctc_forward_backward,
+    oracle_direction_backward,
+    oracle_direction_forward,
+    oracle_train_epoch,
+)
 
 GRAD_REL_TOL = 1e-12
 
@@ -161,21 +168,56 @@ def test_padded_rows_carry_exactly_zero_gradient(bidirectional):
     assert np.all(dlogits[padding] == 0.0)
 
     # padded steps get dz = 0: their input gradient is 0, and garbage in the
-    # padded inputs leaves the weight gradients bit-identical
-    for li, pair in enumerate(cache.dir_caches):
-        for direction, c_dir in zip(("fwd", "bwd"), pair):
-            if c_dir is None:
-                continue
-            lp = params.direction(li, direction)
-            dh_out = np.where(padding[:, :, None], 0.0, rng.standard_normal(c_dir.h[1:].shape))
-            noisy_x = c_dir.x.copy()
-            noisy_x[padding] = 1e3 * rng.standard_normal(noisy_x[padding].shape)
-            clean, noisy = (zeros_like_params(params).direction(li, direction) for _ in range(2))
-            dx = _direction_backward(lp, clean, c_dir, dh_out)
-            _direction_backward(lp, noisy, replace(c_dir, x=noisy_x), dh_out)
-            assert np.all(dx[padding] == 0.0)
-            for a, b in zip(clean, noisy):
+    # padded inputs leaves the weight gradients bit-identical, in every
+    # direction slot (each direction keeps the padding after its valid steps)
+    for li, layer in enumerate(cache.layers):
+        lps = params.layer(li, cfg)
+        assert len(layer.x) == cfg.directions
+        dh_out = np.where(padding[:, None, :, None], 0.0, rng.standard_normal(layer.h[1:].shape))
+        noisy_x = layer.x.copy()
+        noisy_x[:, padding] = 1e3 * rng.standard_normal(noisy_x[:, padding].shape)
+        clean, noisy = (zeros_like_params(params).layer(li, cfg) for _ in range(2))
+        dx = _layer_backward(lps, clean, layer, dh_out)
+        _layer_backward(lps, noisy, replace(layer, x=noisy_x), dh_out)
+        for d in range(cfg.directions):
+            assert np.all(dx[d][padding] == 0.0)
+            for a, b in zip(clean[d], noisy[d]):
                 np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True], ids=["lstm", "bilstm"])
+@pytest.mark.parametrize("hidden", [7, 16, 128])
+@pytest.mark.parametrize("lengths", [(23,), (23, 9, 31), (23, 9, 31, 17)],
+                         ids=["b1", "b3", "b4"])
+def test_stacked_layer_equals_per_direction_oracle(bidirectional, hidden, lengths):
+    """``_layer_forward`` and ``_layer_backward`` run a layer's directions in
+    one loop; each direction equals (==) the one-direction-at-a-time oracle:
+    hidden outputs, gates and cell states, the three weight gradients and
+    the input gradient."""
+    rng = np.random.default_rng([hidden, len(lengths), bidirectional])
+    cfg = ModelConfig(feature_dim=5, num_classes=6, hidden=hidden, num_layers=2,
+                      bidirectional=bidirectional, seed=hidden)
+    params = init_params(cfg)
+    lengths = np.array(lengths)
+    for li in range(cfg.num_layers):
+        x = pad_batch([rng.standard_normal((t, cfg.layer_input_dim(li))) for t in lengths])
+        xs = [x, _reversed(x, lengths)][: cfg.directions]
+        lps = params.layer(li, cfg)
+        h_dirs, cache = _layer_forward(lps, np.stack(xs))
+        dh_out = rng.standard_normal(h_dirs.shape)
+        grads = zeros_like_params(params).layer(li, cfg)
+        dx = _layer_backward(lps, grads, cache, dh_out)
+        for d, name in enumerate(cfg.direction_names):
+            want_h, want = oracle_direction_forward(lps[d], xs[d])
+            assert np.array_equal(h_dirs[:, d], want_h)
+            assert np.array_equal(cache.gates[:, d], want.gates)
+            assert np.array_equal(cache.c[:, d], want.c)
+            assert np.array_equal(cache.tanh_c[:, d], want.tanh_c)
+            want_grads = zeros_like_params(params).direction(li, name)
+            want_dx = oracle_direction_backward(lps[d], want_grads, want, dh_out[:, d])
+            assert np.array_equal(dx[d], want_dx)
+            for got_g, want_g in zip(grads[d], want_grads):
+                assert np.array_equal(got_g, want_g)
 
 
 def test_reverse_within_is_its_own_inverse():

@@ -561,6 +561,18 @@ class TestEvaluateCommand:
                  for u in utterances]
         assert payload["ler"] == corpus_ler(pairs)
 
+    def test_non_finite_feature_cache_is_a_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt)
+        values = np.ones((30, 13))
+        values[5, 2] = np.nan
+        write_feature_cache(values, tmp_path / "nan.mfcc")
+        write_manifest([ManifestRow(str(tmp_path / "nan.mfcc"), "аб")], tmp_path / "m.jsonl")
+        code = main(["evaluate", "--checkpoint", str(ckpt),
+                     "--manifest", str(tmp_path / "m.jsonl")])
+        assert code == 2
+        assert "no loadable utterances (1 dropped)" in capsys.readouterr().err
+
     def test_feature_dim_mismatch_is_a_data_error(self, tmp_path, toy_env, capsys):
         ckpt = tmp_path / "m.ckpt"
         toy_checkpoint(ckpt, feature_dim=5)
@@ -616,6 +628,22 @@ class TestDecodeCommand:
         code = main(["decode", "--checkpoint", str(ckpt),
                      "--wav", str(tmp_path / "none.wav")])
         assert code == 2
+
+    @pytest.mark.parametrize("decoder", ["greedy", "beam"])
+    def test_non_finite_checkpoint_is_a_data_error(self, tmp_path, capsys, decoder):
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt)
+        raw = bytearray(ckpt.read_bytes())
+        raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # the last value of dense.b
+        ckpt.write_bytes(bytes(raw))
+        wav = tmp_path / "in.wav"
+        sine_wav(wav)
+        code = main(["decode", "--checkpoint", str(ckpt), "--wav", str(wav),
+                     "--decoder", decoder, "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "tensor dense.b holds non-finite values" in captured.err
 
 
 def experiment_argv(toy_env, out_dir, *extra):

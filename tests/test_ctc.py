@@ -197,6 +197,7 @@ class TestBeamSearchMatchesOracle:
             assert beam_search_decode(lp, width) == oracle_beam_search(lp, width)
         assert ties > 800 and impossible > 200
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("width,count", [(8, 200), (32, 4)])
     def test_kazakh_sized_instances(self, width, count):
         rng = np.random.default_rng(width)

@@ -176,6 +176,7 @@ class TestResample:
                     7999, 16001, 1000)
     TARGET_RATES = (16000, 8000, 22050)
 
+    @pytest.mark.slow
     def test_matches_per_sample_oracle_bit_for_bit(self):
         # 8191/8192/8193 straddle the 8192-output chunk where the rates are
         # close; lengths whose output would be empty must fail the same way
@@ -352,6 +353,15 @@ class TestFeatureCache:
         for reader in self.READERS:
             with pytest.raises(ValueError, match="unsupported feature cache version 2"):
                 reader(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, rng, value):
+        path = tmp_path / "x.mfcc"
+        values = rng.standard_normal((17, 13))
+        values[9, 4] = value
+        write_feature_cache(values, path)
+        with pytest.raises(ValueError, match="x.mfcc: feature cache holds non-finite values"):
+            read_feature_cache(path)
 
     def test_failed_write_keeps_the_old_cache(self, tmp_path, rng, monkeypatch):
         path = tmp_path / "x.mfcc"

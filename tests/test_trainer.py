@@ -315,6 +315,16 @@ class TestLoadDataset:
         assert not kept
         assert len(dropped) == 1 and "unreadable audio" in dropped[0][1]
 
+    def test_non_finite_cache_dropped_as_unreadable(self, tmp_path, toy, rng):
+        values = rng.standard_normal((30, 13))
+        values[3, 7] = np.nan
+        path = tmp_path / "nan.mfcc"
+        write_feature_cache(values, path)
+        kept, dropped = load_dataset([ManifestRow(str(path), "аб в")], toy)
+        assert not kept
+        assert len(dropped) == 1 and "unreadable audio" in dropped[0][1]
+        assert "non-finite" in dropped[0][1]
+
     def test_empty_transcript_dropped(self, tmp_path, toy, rng):
         path = tmp_path / "u.mfcc"
         write_feature_cache(rng.standard_normal((30, 13)), path)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from ctcx import (
     read_checkpoint,
     recurrent_hidden_outputs,
     save_checkpoint,
+    tensor_spec,
     transfer_weights,
     verify_transfer,
     write_checkpoint,
@@ -253,6 +255,38 @@ class TestCheckpointErrors:
                          "--out", str(tmp_path / "out.ckpt")])
         assert code == 2
         assert "bytes after the last tensor" in capsys.readouterr().err
+
+    def poke(self, path, cfg, name, value):
+        """Overwrite the first payload value of tensor ``name`` in place."""
+        raw = bytearray(path.read_bytes())
+        names = [n for n, _ in tensor_spec(cfg)]
+        sizes = [math.prod(shape) for _, shape in tensor_spec(cfg)]
+        # the payload ends the file: `name` and the tensors after it fill its last bytes
+        struct.pack_into("<f", raw, len(raw) - 4 * sum(sizes[names.index(name):]), value)
+        path.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_names_first_tensor(self, tmp_path, ru, value):
+        path, cfg = self.write_valid(tmp_path, ru)
+        self.poke(path, cfg, "dense.b", value)
+        with pytest.raises(CheckpointError, match="tensor dense.b holds non-finite values"):
+            read_checkpoint(path)
+        self.poke(path, cfg, "layer2.fwd.w_recurrent", value)
+        with pytest.raises(CheckpointError, match="tensor layer2.fwd.w_recurrent holds"):
+            read_checkpoint(path)
+
+    def test_non_finite_payload_is_never_written(self, tmp_path, ru):
+        path, cfg = self.write_valid(tmp_path, ru)
+        before = path.read_bytes()
+        ckpt = read_checkpoint(path)
+        payload = ckpt.payload.copy()
+        payload[-1] = np.nan
+        with pytest.raises(CheckpointError, match="tensor dense.b holds non-finite values"):
+            write_checkpoint(replace(ckpt, payload=payload), path)
+        with pytest.raises(CheckpointError, match="dense.b"):
+            write_checkpoint(replace(ckpt, payload=payload), tmp_path / "new.ckpt")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     def test_shape_mismatch_names_tensor(self, tmp_path, ru):
         path, _ = self.write_valid(tmp_path, ru)
