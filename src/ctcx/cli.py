@@ -22,10 +22,10 @@ from .ctc import beam_search_decode, greedy_decode
 from .frontend import (
     FeatureConfig,
     ManifestRow,
-    feature_cache_header,
     feature_normalize,
     frame_count,
     load_wav,
+    read_feature_cache,
     read_manifest,
     resample,  # unused here; perfbench/tests/test_tracing.py checks ctcx.cli.resample is traced
     resampled_length,
@@ -141,10 +141,10 @@ def _workers() -> int:
 
 
 def _frame_count_for_row(row: ManifestRow, cfg: FeatureConfig) -> tuple[int, float]:
-    """(frames, duration seconds) for a manifest row, reading the audio header."""
+    """(frames, duration seconds) for a manifest row, from its checked cache or WAV file."""
     path = Path(row.audio)
     if path.suffix == ".mfcc":
-        t, _ = feature_cache_header(path)
+        t = len(read_feature_cache(path))
         duration = row.duration_s if row.duration_s is not None else t * cfg.hop_ms / 1000.0
         return t, duration
     clip = load_wav(path)
@@ -263,9 +263,9 @@ def cmd_features(args) -> int:
 
 
 def _cache_is_fresh(cache: Path, src: Path) -> bool:
-    """A readable cache that is not older than its WAV."""
+    """A cache ``read_feature_cache`` accepts that is not older than its WAV."""
     try:
-        feature_cache_header(cache)
+        read_feature_cache(cache)
         return cache.stat().st_mtime >= src.stat().st_mtime
     except (OSError, ValueError):  # missing or unreadable: extract again
         return False
@@ -353,8 +353,7 @@ def cmd_train(args) -> int:
     }
     human = (
         f"trained {args.arch} ({args.init} init) for {cfg.epochs} epochs\n"
-        f"final train_cost={final.train_cost:.6f} train_ler={final.train_ler:.6f} "
-        f"val_cost={final.val_cost:.6f} val_ler={final.val_ler:.6f}\n"
+        f"final {final.summary(6)}\n"
         f"checkpoint: {checkpoint_path}\nmetrics: {metrics_path}"
     )
     _emit(args, payload, human)
@@ -410,10 +409,6 @@ def cmd_evaluate(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
     params = params_from_checkpoint(ckpt)
     utterances = _load_utterances(args.manifest, ckpt.alphabet)
-    if any(u.features.shape[1] != ckpt.model_config.feature_dim for u in utterances):
-        raise DataError(
-            f"feature dim mismatch: checkpoint expects {ckpt.model_config.feature_dim}"
-        )
     cost, ler = evaluate(params, ckpt.model_config, utterances, args.decoder, args.beam_width)
     payload = {
         "utterances": len(utterances),
@@ -434,11 +429,6 @@ def cmd_decode(args) -> int:
     if resampled:
         logger.info("resampled %s to %d Hz", args.wav, cfg.sample_rate_hz)
     values = feature_normalize(raw)
-    if values.shape[1] != ckpt.model_config.feature_dim:
-        raise DataError(
-            f"feature dim {values.shape[1]} does not match checkpoint "
-            f"({ckpt.model_config.feature_dim})"
-        )
     logits, _ = forward(params, ckpt.model_config, values, train_mode=False)
     log_probs = log_softmax(logits)
     if args.decoder == "beam":
@@ -482,17 +472,13 @@ def cmd_experiment(args) -> int:
 
     lines = [" | ".join(EXPERIMENT_COLUMNS)]
     for s in result.scenarios:
-        f = s.final
-        lines.append(" | ".join([
-            s.name, repr(f.train_cost), repr(f.train_ler),
-            repr(f.val_cost), repr(f.val_ler), str(f.epoch),
-        ]))
+        values = map(repr, s.final.metrics().values())
+        lines.append(" | ".join([s.name, *values, str(s.final.epoch)]))
+    # the table's metric columns are in MetricsRow order, as are the improvements
+    labels = [column[0].lower() + column[1:] for column in EXPERIMENT_COLUMNS[1:-1]]
     for arch, imp in result.improvements_percent.items():
-        lines.append(
-            f"{arch} transfer improvement: training cost {imp['train_cost']:.1f}%, "
-            f"training LER {imp['train_ler']:.1f}%, validation cost {imp['val_cost']:.1f}%, "
-            f"validation LER {imp['val_ler']:.1f}%"
-        )
+        gains = ", ".join(f"{label} {value:.1f}%" for label, value in zip(labels, imp.values()))
+        lines.append(f"{arch} transfer improvement: {gains}")
     for w in result.warnings:
         lines.append(f"warning: {w}")
 

@@ -10,7 +10,7 @@ import json
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
 
@@ -20,6 +20,8 @@ LOG_FLOOR = 1e-10
 FEATURE_CACHE_MAGIC = b"MFCC"
 FEATURE_CACHE_VERSION = 1
 MAX_UTTERANCE_SECONDS = 15.0
+# the resampler's taps grow with the source rate, so a higher rate could ask for gigabytes
+MAX_SAMPLE_RATE_HZ = 192_000
 
 
 class WavFormatError(ValueError):
@@ -150,8 +152,10 @@ def load_wav(path) -> AudioClip:
         raise WavFormatError(f"{path}: channels={channels} unsupported")
     if bits != 16:
         raise WavFormatError(f"{path}: bits={bits} unsupported (need 16)")
-    if sample_rate == 0:
-        raise WavFormatError(f"{path}: sample rate 0")
+    if not 0 < sample_rate <= MAX_SAMPLE_RATE_HZ:
+        raise WavFormatError(
+            f"{path}: sample rate {sample_rate} outside 1..{MAX_SAMPLE_RATE_HZ} Hz"
+        )
     if not data:
         raise WavFormatError(f"{path}: empty data chunk")
     if len(data) % 2 != 0:
@@ -368,38 +372,25 @@ def write_feature_cache(values: np.ndarray, path) -> None:
     write_atomic(path, header + payload)
 
 
-def _cache_shape(head: bytes, size: int, path) -> tuple[int, int]:
-    """(T, F) of a cache file from its leading bytes and its total byte size.
+def read_feature_cache(path) -> np.ndarray:
+    """The (T, F) float64 features of a cache file.
 
     Raises ValueError unless the magic, the version and the size
-    ``16 + 4 * T * F`` all match.
+    ``16 + 4 * T * F`` all match and every value is finite.
     """
-    if len(head) < 16 or head[:4] != FEATURE_CACHE_MAGIC:
+    raw = Path(path).read_bytes()
+    if len(raw) < 16 or raw[:4] != FEATURE_CACHE_MAGIC:
         raise ValueError(f"{path}: not a feature cache file")
-    version, t, f = struct.unpack_from("<III", head, 4)
+    version, t, f = struct.unpack_from("<III", raw, 4)
     if version != FEATURE_CACHE_VERSION:
         raise ValueError(f"{path}: unsupported feature cache version {version}")
     expected = 16 + 4 * t * f
-    if size != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {size}")
-    return t, f
-
-
-def read_feature_cache(path) -> np.ndarray:
-    """The (T, F) float64 features of a cache file; ValueError when the header
-    does not match the size or a value is not finite."""
-    raw = Path(path).read_bytes()
-    t, f = _cache_shape(raw, len(raw), path)
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, f)
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: feature cache holds non-finite values")
     return values.astype(np.float64)
-
-
-def feature_cache_header(path) -> tuple[int, int]:
-    """Read and check (T, F) of a cache file without loading the payload."""
-    with open(path, "rb") as fh:
-        return _cache_shape(fh.read(16), os.fstat(fh.fileno()).st_size, path)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +423,9 @@ def read_manifest(path) -> list[ManifestRow]:
             raise ValueError(f"{where}: manifest row is not a JSON object")
         if "audio" not in obj or "text" not in obj:
             raise ValueError(f"{where}: manifest row needs 'audio' and 'text'")
+        for key in ("audio", "text"):
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{where}: {key} {obj[key]!r} is not a string")
         duration = obj.get("duration_s")
         if duration is not None:
             if isinstance(duration, bool) or not isinstance(duration, (int, float)):
@@ -439,17 +433,16 @@ def read_manifest(path) -> list[ManifestRow]:
             if not 0 <= duration <= sys.float_info.max:  # also NaN and Infinity
                 raise ValueError(f"{where}: duration_s {duration!r} is negative or not finite")
             duration = float(duration)
-        rows.append(ManifestRow(str(obj["audio"]), str(obj["text"]), duration))
+        rows.append(ManifestRow(obj["audio"], obj["text"], duration))
     return rows
 
 
 def write_manifest(rows, path) -> None:
-    lines = []
-    for r in rows:
-        obj = {"audio": r.audio, "text": r.text}
-        if r.duration_s is not None:
-            obj["duration_s"] = r.duration_s
-        lines.append(json.dumps(obj, ensure_ascii=False))
+    """Write ``ManifestRow``s as JSON lines, leaving out an unknown ``duration_s``."""
+    lines = [
+        json.dumps({k: v for k, v in asdict(r).items() if v is not None}, ensure_ascii=False)
+        for r in rows
+    ]
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

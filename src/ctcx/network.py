@@ -81,6 +81,10 @@ class ModelConfig:
         return self.feature_dim if layer_index == 0 else self.layer_output_dim
 
 
+# the ModelConfig fields that fix a model's tensor shapes, in checkpoint header order
+GEOMETRY = ("hidden", "num_layers", "bidirectional", "feature_dim", "num_classes")
+
+
 def tensor_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list for every tensor of a model."""
     spec = []
@@ -342,7 +346,8 @@ def _stack_forward(
     for values in features:
         if values.ndim != 2 or values.shape[1] != cfg.feature_dim:
             raise ValueError(
-                f"features shape {values.shape} incompatible with feature_dim {cfg.feature_dim}"
+                f"feature dim mismatch: features of shape {values.shape}, "
+                f"model feature_dim {cfg.feature_dim}"
             )
         if values.shape[0] < 1:
             raise ValueError("need at least one frame")

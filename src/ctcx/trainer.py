@@ -10,7 +10,7 @@ actual batch length. Evaluation runs one utterance at a time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ from .transfer import Checkpoint, transfer_weights
 
 logger = logging.getLogger(__name__)
 
-METRICS_HEADER = "epoch,train_cost,train_ler,val_cost,val_ler"
 DECODERS = ("greedy", "beam")
 ARCH_NAMES = {"lstm": "LSTM", "bilstm": "BiLSTM"}  # arch name -> scenario label
 
@@ -84,6 +83,8 @@ class TrainConfig:
 
 @dataclass
 class MetricsRow:
+    """One epoch's row of ``metrics.csv``; its fields are the CSV columns, in order."""
+
     epoch: int
     train_cost: float
     train_ler: float
@@ -92,19 +93,22 @@ class MetricsRow:
 
     def to_csv(self) -> str:
         # repr keeps the shortest exact float form, so logs are byte-stable
-        return ",".join(
-            [str(self.epoch)]
-            + [repr(float(v)) for v in (self.train_cost, self.train_ler, self.val_cost, self.val_ler)]
-        )
+        epoch, *values = astuple(self)
+        return ",".join([str(epoch)] + [repr(float(v)) for v in values])
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_cost": self.train_cost,
-            "train_ler": self.train_ler,
-            "val_cost": self.val_cost,
-            "val_ler": self.val_ler,
-        }
+        return asdict(self)
+
+    def metrics(self) -> dict[str, float]:
+        """Every column but ``epoch``, by name."""
+        return {name: value for name, value in asdict(self).items() if name != "epoch"}
+
+    def summary(self, digits: int) -> str:
+        """``name=value`` pairs of the metrics, for logs."""
+        return " ".join(f"{name}={value:.{digits}f}" for name, value in self.metrics().items())
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 @dataclass
@@ -335,25 +339,20 @@ def train(
             out.write(METRICS_HEADER + "\n")
         log_every = max(1, cfg.epochs // 10)
         for epoch in range(1, cfg.epochs + 1):
-            train_cost, train_ler = train_epoch(
-                params, effective_cfg, train_set, cfg, state, epoch
-            )
+            train_metrics = train_epoch(params, effective_cfg, train_set, cfg, state, epoch)
             if val_set:
-                val_cost, val_ler = evaluate(
+                val_metrics = evaluate(
                     params, effective_cfg, val_set, cfg.eval_decoder, cfg.beam_width
                 )
             else:
-                val_cost, val_ler = float("nan"), float("nan")
-            row = MetricsRow(epoch, train_cost, train_ler, val_cost, val_ler)
+                val_metrics = (float("nan"), float("nan"))
+            row = MetricsRow(epoch, *train_metrics, *val_metrics)
             rows.append(row)
             if out:
                 out.write(row.to_csv() + "\n")
                 out.flush()
             if epoch % log_every == 0 or epoch == cfg.epochs:
-                logger.info(
-                    "epoch %d/%d train_cost=%.4f train_ler=%.4f val_cost=%.4f val_ler=%.4f",
-                    epoch, cfg.epochs, train_cost, train_ler, val_cost, val_ler,
-                )
+                logger.info("epoch %d/%d %s", epoch, cfg.epochs, row.summary(4))
     finally:
         if out:
             out.close()
@@ -465,10 +464,9 @@ def run_experiment_matrix(
         tran = finals.get((arch, "transfer"))
         if base is None or tran is None:
             continue
+        tran_metrics = tran.metrics()
         improvements[arch] = {
-            "train_cost": _improvement_percent(base.train_cost, tran.train_cost),
-            "train_ler": _improvement_percent(base.train_ler, tran.train_ler),
-            "val_cost": _improvement_percent(base.val_cost, tran.val_cost),
-            "val_ler": _improvement_percent(base.val_ler, tran.val_ler),
+            name: _improvement_percent(value, tran_metrics[name])
+            for name, value in base.metrics().items()
         }
     return ExperimentResult(scenarios, improvements, warnings)

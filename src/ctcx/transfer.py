@@ -15,13 +15,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .frontend import write_atomic
 from .network import (
+    GEOMETRY,
     ModelConfig,
     ModelParams,
     init_params,
@@ -67,28 +68,17 @@ class Checkpoint:
         return tensor_views(tensor_spec(self.model_config), self.payload)
 
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "hidden": cfg.hidden,
-        "num_layers": cfg.num_layers,
-        "bidirectional": cfg.bidirectional,
-        "feature_dim": cfg.feature_dim,
-        "num_classes": cfg.num_classes,
-    }
-
-
 def _config_from_dict(d) -> ModelConfig:
     """The header's model config: JSON integers, and a JSON bool for ``bidirectional``."""
     if not isinstance(d, dict):
         raise CheckpointError("header config is not a JSON object")
-    fields = ("feature_dim", "num_classes", "hidden", "num_layers", "bidirectional")
-    for name in fields:
+    for name in GEOMETRY:
         if name not in d:
             raise CheckpointError(f"header config missing field {name!r}")
         if not (isinstance(d[name], bool) if name == "bidirectional" else _is_int(d[name])):
             raise CheckpointError(f"bad header config: {name} is {d[name]!r}")
     try:
-        return ModelConfig(**{name: d[name] for name in fields})
+        return ModelConfig(**{name: d[name] for name in GEOMETRY})
     except ValueError as e:
         raise CheckpointError(f"bad header config: {e}") from None
 
@@ -134,7 +124,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     _check_finite(ckpt.model_config, ckpt.payload, path)
     header = json.dumps(
         {
-            "config": _config_to_dict(ckpt.model_config),
+            "config": {name: getattr(ckpt.model_config, name) for name in GEOMETRY},
             "alphabet_name": ckpt.alphabet_name,
             "alphabet_symbols": ckpt.alphabet_symbols,
             "tensors": table,
@@ -238,11 +228,7 @@ class TransferReport:
     skipped_reason: dict[str, str]
 
     def to_dict(self) -> dict:
-        return {
-            "copied": list(self.copied),
-            "reinitialized": list(self.reinitialized),
-            "skipped_reason": dict(self.skipped_reason),
-        }
+        return asdict(self)
 
 
 def transfer_weights(
@@ -258,13 +244,10 @@ def transfer_weights(
     aborts with no partial transfer.
     """
     src_cfg = source.model_config
-    for field_name in ("hidden", "num_layers", "bidirectional", "feature_dim"):
-        src_val = getattr(src_cfg, field_name)
-        tgt_val = getattr(target_cfg, field_name)
-        if src_val != tgt_val:
-            raise TransferError(
-                f"source {field_name}={src_val} does not match target {field_name}={tgt_val}"
-            )
+    for name in GEOMETRY:
+        src_val, tgt_val = getattr(src_cfg, name), getattr(target_cfg, name)
+        if name != "num_classes" and src_val != tgt_val:
+            raise TransferError(f"source {name}={src_val} does not match target {name}={tgt_val}")
     if target_cfg.num_classes != target_alphabet.num_classes:
         raise TransferError(
             f"target config has {target_cfg.num_classes} classes but alphabet "
@@ -293,11 +276,7 @@ class VerifyReport:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs_deviation": self.max_abs_deviation,
-            "first_divergence": self.first_divergence,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def verify_transfer(

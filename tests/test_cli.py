@@ -219,9 +219,10 @@ class TestPrepare:
             '{"audio": "a.wav", "text": "x", "duration_s": -3}',
             '{"audio": "a.wav", "text": "x", "duration_s": NaN}',
             '{"audio": "a.wav", "text": "x", "duration_s": Infinity}',
+            '{"audio": "a.wav", "text": ["аб"]}',
         ],
         ids=["non-object-row", "non-numeric-duration", "bool-duration", "string-duration",
-             "negative-duration", "nan-duration", "infinite-duration"],
+             "negative-duration", "nan-duration", "infinite-duration", "list-text"],
     )
     def test_malformed_manifest_row_is_a_data_error(self, tmp_path, capsys, line):
         manifest = tmp_path / "raw.jsonl"
@@ -305,6 +306,24 @@ class TestFeatures:
         assert payload["written"] == 1 and payload["skipped"] == 0
         assert cache.read_bytes() == good
         assert read_feature_cache(cache).shape[1] == FeatureConfig().n_mfcc
+
+    def test_non_finite_cache_is_dropped_then_rebuilt(self, tmp_path, capsys):
+        manifest = self.build_wav_manifest(tmp_path, n=1)
+        argv = ["features", "--manifest", str(manifest), "--out-dir", str(tmp_path / "feat")]
+        run_json(capsys, argv)
+        cache = tmp_path / "feat" / "utt0.mfcc"
+        good = cache.read_bytes()
+        raw = bytearray(good)
+        raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # header and size still match
+        cache.write_bytes(bytes(raw))
+        code = main(["prepare", "--manifest", str(tmp_path / "feat" / "manifest.jsonl"),
+                     "--alphabet", "kk", "--out", str(tmp_path / "clean.jsonl")])
+        assert code == 2
+        assert "no usable rows (1 dropped: {'unreadable audio': 1})" in capsys.readouterr().err
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert payload["written"] == 1 and payload["skipped"] == 0
+        assert cache.read_bytes() == good
 
     def test_out_dir_at_a_regular_file_is_a_data_error(self, tmp_path, capsys):
         manifest = self.build_wav_manifest(tmp_path, n=1)
@@ -621,6 +640,15 @@ class TestDecodeCommand:
         ])
         assert code == 0
         assert payload["resampled"] is True
+
+    def test_feature_dim_mismatch_is_a_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt, feature_dim=5)
+        wav = tmp_path / "in.wav"
+        sine_wav(wav)
+        code = main(["decode", "--checkpoint", str(ckpt), "--wav", str(wav)])
+        assert code == 2
+        assert "feature dim mismatch" in capsys.readouterr().err
 
     def test_missing_wav_is_a_data_error(self, tmp_path):
         ckpt = tmp_path / "m.ckpt"

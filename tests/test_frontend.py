@@ -21,11 +21,11 @@ from ctcx.frontend import (
     LOG_FLOOR,
     _mfcc_tables,
     dct_matrix,
-    feature_cache_header,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
     resampled_length,
+    wav_features,
 )
 from helpers import fail_writes_halfway
 from oracles import oracle_resample
@@ -134,6 +134,20 @@ class TestWavIO:
         path.write_bytes(header + data)
         with pytest.raises(WavFormatError, match=f"x.wav: {problem}"):
             load_wav(path)
+
+    def test_rate_above_192_khz_is_refused_before_resampling(self, tmp_path, monkeypatch):
+        import ctcx.frontend
+
+        def no_resample(clip, target_hz):
+            raise AssertionError("resample called")
+
+        monkeypatch.setattr(ctcx.frontend, "resample", no_resample)
+        path = tmp_path / "x.wav"
+        save_wav(AudioClip(np.zeros(8), 10_000_000), path)
+        with pytest.raises(WavFormatError, match="x.wav: sample rate 10000000 outside"):
+            wav_features(path, FeatureConfig())
+        save_wav(AudioClip(np.zeros(8), 192_000), path)
+        assert load_wav(path).sample_rate_hz == 192_000
 
 
 class TestResample:
@@ -320,29 +334,19 @@ class TestFeatureCache:
         write_feature_cache(values, path)
         np.testing.assert_array_equal(read_feature_cache(path), values)
 
-    def test_header_reports_shape(self, tmp_path, rng):
-        path = tmp_path / "x.mfcc"
-        write_feature_cache(rng.standard_normal((17, 13)), path)
-        assert feature_cache_header(path) == (17, 13)
-
-    # both readers share one check of the magic, the version and the byte size
-    READERS = (read_feature_cache, feature_cache_header)
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.mfcc"
         path.write_bytes(b"JUNK" + b"\0" * 32)
-        for reader in self.READERS:
-            with pytest.raises(ValueError, match="not a feature cache"):
-                reader(path)
+        with pytest.raises(ValueError, match="not a feature cache"):
+            read_feature_cache(path)
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
         path = tmp_path / "x.mfcc"
         write_feature_cache(rng.standard_normal((17, 13)), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        for reader in self.READERS:
-            with pytest.raises(ValueError, match="expected 900 bytes, found 892"):
-                reader(path)
+        with pytest.raises(ValueError, match="expected 900 bytes, found 892"):
+            read_feature_cache(path)
 
     def test_later_version_rejected(self, tmp_path, rng):
         path = tmp_path / "x.mfcc"
@@ -350,9 +354,8 @@ class TestFeatureCache:
         raw = bytearray(path.read_bytes())
         raw[4] = 2
         path.write_bytes(bytes(raw))
-        for reader in self.READERS:
-            with pytest.raises(ValueError, match="unsupported feature cache version 2"):
-                reader(path)
+        with pytest.raises(ValueError, match="unsupported feature cache version 2"):
+            read_feature_cache(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, rng, value):
@@ -418,9 +421,13 @@ class TestManifest:
              "m.jsonl:2: duration_s nan is negative or not finite"),
             ('{"audio": "b.wav", "text": "y", "duration_s": Infinity}',
              "m.jsonl:2: duration_s inf is negative or not finite"),
+            ('{"audio": "b.wav", "text": ["аб"]}', r"m.jsonl:2: text \['аб'\] is not a string"),
+            ('{"audio": 7, "text": "y"}', "m.jsonl:2: audio 7 is not a string"),
+            ('{"audio": null, "text": "y"}', "m.jsonl:2: audio None is not a string"),
         ],
         ids=["non-object-row", "non-numeric-duration", "bool-duration", "string-duration",
-             "negative-duration", "nan-duration", "infinite-duration"],
+             "negative-duration", "nan-duration", "infinite-duration",
+             "list-text", "numeric-audio", "null-audio"],
     )
     def test_malformed_row_names_path_and_line(self, tmp_path, line, match):
         path = tmp_path / "m.jsonl"
