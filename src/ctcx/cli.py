@@ -215,12 +215,16 @@ def cmd_features(args) -> int:
 
     out_rows = []
     skipped = 0
+    failures = []
     sources = {}  # cache path -> the WAV it is extracted from
     for row in rows:
         src = Path(row.audio)
         if src.suffix == ".mfcc":
             out_rows.append(row)
-            skipped += 1
+            if error := _try(read_feature_cache, src):
+                failures.append({"audio": str(src), "error": error})
+            else:
+                skipped += 1
             continue
         cache = out_dir / (src.stem + ".mfcc")
         other = sources.setdefault(cache, src)
@@ -236,19 +240,18 @@ def cmd_features(args) -> int:
         values, _ = wav_features(src, cfg)
         write_feature_cache(values, cache)
 
-    failures = []
+    outcomes = []
     if jobs:
         with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            for job, outcome in zip(jobs, pool.map(lambda j: _try(extract, j), jobs)):
-                if outcome is not None:
-                    failures.append({"audio": str(job[0]), "error": outcome})
+            outcomes = list(pool.map(lambda j: _try(extract, j), jobs))
+    failures += [{"audio": str(src), "error": e} for (src, _), e in zip(jobs, outcomes) if e]
 
     out_manifest = args.out_manifest or str(out_dir / "manifest.jsonl")
     Path(out_manifest).parent.mkdir(parents=True, exist_ok=True)
     write_manifest(out_rows, out_manifest)
 
     payload = {
-        "written": len(jobs) - len(failures),
+        "written": outcomes.count(None),
         "skipped": skipped,
         "failed": failures,
         "manifest": out_manifest,
@@ -545,7 +548,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alphabet", required=True)
     p.add_argument("--arch", choices=tuple(ARCH_NAMES), default="bilstm")
     p.add_argument("--init", choices=("random", "transfer"), default="random")
-    p.add_argument("--source-checkpoint", help="required with --init transfer")
+    p.add_argument("--source-checkpoint", help="required with --init transfer, refused without")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--no-split", action="store_true",
                    help="train on every utterance; no validation split")
@@ -589,8 +592,8 @@ def main(argv=None) -> int:
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
 
-    if getattr(args, "init", None) == "transfer" and not args.source_checkpoint:
-        parser.error("--init transfer requires --source-checkpoint")
+    if getattr(args, "init", None) and (args.init == "transfer") != bool(args.source_checkpoint):
+        parser.error("--init transfer and --source-checkpoint go together")
 
     try:
         return args.func(args)

@@ -408,16 +408,21 @@ class ManifestRow:
 def read_manifest(path) -> list[ManifestRow]:
     """Read a JSON Lines manifest: {"audio", "text", "duration_s"} per line.
 
-    Any malformed line raises ValueError naming ``path:line``.
+    Any malformed line raises ValueError naming ``path:line``, and a file
+    that is not UTF-8 one naming ``path``.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8: {e}") from None
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # also nesting too deep to parse
             raise ValueError(f"{where}: not JSON: {e}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{where}: manifest row is not a JSON object")

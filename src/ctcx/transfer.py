@@ -52,7 +52,6 @@ class TransferVerificationError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    format_version: int
     model_config: ModelConfig
     alphabet_name: str
     alphabet_symbols: str
@@ -68,23 +67,19 @@ class Checkpoint:
         return tensor_views(tensor_spec(self.model_config), self.payload)
 
 
-def _config_from_dict(d) -> ModelConfig:
+def _config_from_dict(d, path) -> ModelConfig:
     """The header's model config: JSON integers, and a JSON bool for ``bidirectional``."""
     if not isinstance(d, dict):
-        raise CheckpointError("header config is not a JSON object")
+        raise CheckpointError(f"{path}: header config is not a JSON object")
     for name in GEOMETRY:
         if name not in d:
-            raise CheckpointError(f"header config missing field {name!r}")
-        if not (isinstance(d[name], bool) if name == "bidirectional" else _is_int(d[name])):
-            raise CheckpointError(f"bad header config: {name} is {d[name]!r}")
+            raise CheckpointError(f"{path}: header config missing field {name!r}")
+        if type(d[name]) is not (bool if name == "bidirectional" else int):
+            raise CheckpointError(f"{path}: bad header config: {name} is {d[name]!r}")
     try:
         return ModelConfig(**{name: d[name] for name in GEOMETRY})
     except ValueError as e:
-        raise CheckpointError(f"bad header config: {e}") from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+        raise CheckpointError(f"{path}: bad header config: {e}") from None
 
 
 def checkpoint_from_params(
@@ -97,7 +92,7 @@ def checkpoint_from_params(
             f"config says {cfg.num_classes}"
         )
     payload = params.vector.astype("<f4")
-    return Checkpoint(CHECKPOINT_VERSION, cfg, alphabet.name, "".join(alphabet.symbols), payload)
+    return Checkpoint(cfg, alphabet.name, "".join(alphabet.symbols), payload)
 
 
 def _check_finite(cfg: ModelConfig, payload: np.ndarray, path) -> None:
@@ -109,32 +104,44 @@ def _check_finite(cfg: ModelConfig, payload: np.ndarray, path) -> None:
     raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
 
 
+def _payload_size(cfg: ModelConfig) -> int:
+    """The number of float32 values in a checkpoint's payload."""
+    return sum(math.prod(shape) for _, shape in tensor_spec(cfg))
+
+
+def _header(cfg: ModelConfig, alphabet_name: str, alphabet_symbols: str) -> dict:
+    """The JSON header of a checkpoint: config, alphabet, and the packed
+    tensor table in spec order, each offset being the bytes before it."""
+    table = []
+    offset = 0
+    for name, shape in tensor_spec(cfg):
+        table.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * math.prod(shape)
+    return {
+        "config": {name: getattr(cfg, name) for name in GEOMETRY},
+        "alphabet_name": alphabet_name,
+        "alphabet_symbols": alphabet_symbols,
+        "tensors": table,
+    }
+
+
+def _prefix(header: dict) -> bytes:
+    """Everything before the payload: magic, version, header length, header, zero padding."""
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    prefix = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob
+    return prefix + b"\0" * ((-len(prefix)) % _ALIGN)
+
+
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write ``ckpt`` to ``path``; a payload ``read_checkpoint`` would refuse
     (non-finite values) raises CheckpointError and writes nothing."""
-    table = []
-    offset = 0
-    for name, shape in tensor_spec(ckpt.model_config):
-        table.append({"name": name, "shape": list(shape), "offset": offset})
-        offset += 4 * math.prod(shape)
-    if ckpt.payload.shape != (offset // 4,):
-        raise ValueError(
-            f"payload of shape {ckpt.payload.shape} does not hold {offset // 4} values"
-        )
-    _check_finite(ckpt.model_config, ckpt.payload, path)
-    header = json.dumps(
-        {
-            "config": {name: getattr(ckpt.model_config, name) for name in GEOMETRY},
-            "alphabet_name": ckpt.alphabet_name,
-            "alphabet_symbols": ckpt.alphabet_symbols,
-            "tensors": table,
-        },
-        ensure_ascii=False,
-    ).encode("utf-8")
-    prefix = CHECKPOINT_MAGIC + struct.pack("<II", ckpt.format_version, len(header)) + header
-    pad = (-len(prefix)) % _ALIGN
-    payload = np.ascontiguousarray(ckpt.payload, dtype="<f4").tobytes()
-    write_atomic(path, prefix + b"\0" * pad + payload)
+    cfg = ckpt.model_config
+    size = _payload_size(cfg)
+    if ckpt.payload.shape != (size,):
+        raise ValueError(f"payload of shape {ckpt.payload.shape} does not hold {size} values")
+    _check_finite(cfg, ckpt.payload, path)
+    prefix = _prefix(_header(cfg, ckpt.alphabet_name, ckpt.alphabet_symbols))
+    write_atomic(path, prefix + np.ascontiguousarray(ckpt.payload, dtype="<f4").tobytes())
 
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, alphabet: Alphabet, path) -> None:
@@ -146,10 +153,11 @@ def read_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file; any malformed or inconsistent field raises CheckpointError.
 
     The embedded alphabet must be valid and give the config's class count,
-    so ``Checkpoint.alphabet`` of a read checkpoint never raises. The tensor
-    table must describe the packed layout ``write_checkpoint`` produces: spec
-    order, each offset the total size of the tensors before it, and the
-    file ends with the last tensor. Every value must be finite.
+    so ``Checkpoint.alphabet`` of a read checkpoint never raises. Everything
+    before the payload must be the bytes ``write_checkpoint`` writes for the
+    parsed config and alphabet, and the payload must fill the rest of the
+    file, so a checkpoint that reads writes back byte-identical. Every value
+    must be finite.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -163,18 +171,20 @@ def read_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
 
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
-    cfg = _config_from_dict(header.get("config", {}))
+    cfg = _config_from_dict(header.get("config", {}), path)
     alphabet_name = header.get("alphabet_name")
     alphabet_symbols = header.get("alphabet_symbols")
     if not (isinstance(alphabet_name, str) and isinstance(alphabet_symbols, str)):
         raise CheckpointError(f"{path}: header needs string alphabet_name and alphabet_symbols")
+    written = _header(cfg, alphabet_name, alphabet_symbols)
     try:
         alphabet = Alphabet(alphabet_name, tuple(alphabet_symbols))
+        prefix = _prefix(written)  # a lone surrogate in the alphabet does not encode
     except ValueError as e:
         raise CheckpointError(f"{path}: bad embedded alphabet: {e}") from None
     if alphabet.num_classes != cfg.num_classes:
@@ -182,39 +192,20 @@ def read_checkpoint(path) -> Checkpoint:
             f"{path}: alphabet {alphabet_name!r} has {alphabet.num_classes} classes, "
             f"config says {cfg.num_classes}"
         )
-    base = 12 + header_len
-    base += (-base) % _ALIGN
-
-    expected = tensor_spec(cfg)
-    table = header.get("tensors", [])
-    if not isinstance(table, list) or not all(isinstance(e, dict) for e in table):
-        raise CheckpointError(f"{path}: tensor table is not a list of JSON objects")
-    names = [e.get("name") for e in table]
-    if names != [name for name, _ in expected]:
-        raise CheckpointError(
-            f"{path}: tensor table {names} does not match the model config's tensor set"
-        )
-    end = 0  # payload bytes taken by the tensors so far
-    for entry, (name, shape) in zip(table, expected):
-        got_shape = entry.get("shape")
-        if not (isinstance(got_shape, list) and all(map(_is_int, got_shape))
-                and tuple(got_shape) == shape):
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {got_shape!r}, config requires {shape}"
-            )
-        offset = entry.get("offset")
-        if not _is_int(offset) or offset != end:
-            raise CheckpointError(
-                f"{path}: tensor {name} has offset {offset!r}, the packed layout puts it at {end}"
-            )
-        end += 4 * math.prod(shape)
-        if base + end > len(raw):
-            raise CheckpointError(f"{path}: truncated payload for tensor {name}")
-    if base + end != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - base - end} bytes after the last tensor")
-    payload = np.frombuffer(raw, dtype="<f4", count=end // 4, offset=base)
+    if raw[: len(prefix)] != prefix:
+        # name the top-level keys whose parsed value differs; if none does, the encoding differs
+        missing = object()
+        keys = [key for key in {**written, **header}
+                if header.get(key, missing) != written.get(key, missing)]
+        where = (", ".join(map(repr, keys))
+                 or "its encoding (key order, whitespace, padding or number form)")
+        raise CheckpointError(f"{path}: header differs from the written form in {where}")
+    size = len(prefix) + 4 * _payload_size(cfg)
+    if len(raw) != size:
+        raise CheckpointError(f"{path}: file has {len(raw)} bytes, the header needs {size}")
+    payload = np.frombuffer(raw, dtype="<f4", offset=len(prefix))
     _check_finite(cfg, payload, path)
-    return Checkpoint(version, cfg, alphabet_name, alphabet_symbols, payload)
+    return Checkpoint(cfg, alphabet_name, alphabet_symbols, payload)
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> ModelParams:

@@ -3,6 +3,10 @@
 ``tests/`` and ``perfbench/tests/`` both have a ``conftest.py``, so when
 pytest collects both, ``from conftest import ...`` may find the other one.
 """
+import json
+import struct
+from typing import NamedTuple
+
 import numpy as np
 
 from ctcx import Utterance, encode, frontend, make_corpus
@@ -49,3 +53,27 @@ def fail_writes_halfway(monkeypatch) -> None:
     bytes and raise; ``monkeypatch.undo()`` restores normal writes."""
     monkeypatch.setattr(frontend, "open", lambda *a, **k: HalfWrite(open(*a, **k)),
                         raising=False)
+
+
+class Raw(NamedTuple):
+    """A header given as JSON text, padded to 64 bytes with ``fill``."""
+
+    text: str
+    fill: bytes = b"\0"
+
+
+def rewrite_header(path, mutate):
+    """Replace a checkpoint's JSON header by ``mutate(header)``, keeping the payload.
+
+    ``mutate`` returns a JSON value, dumped as ``write_checkpoint`` dumps its
+    header, or a ``Raw`` header.
+    """
+    raw = path.read_bytes()
+    _, header_len = struct.unpack_from("<II", raw, 4)
+    new = mutate(json.loads(raw[12 : 12 + header_len]))
+    if not isinstance(new, Raw):
+        new = Raw(json.dumps(new, ensure_ascii=False))
+    blob = new.text.encode("utf-8", "surrogatepass")  # a lone surrogate goes in as it is
+    prefix = raw[:4] + struct.pack("<II", 1, len(blob)) + blob
+    payload_start = 12 + header_len + (-(12 + header_len)) % 64
+    path.write_bytes(prefix + new.fill * ((-len(prefix)) % 64) + raw[payload_start:])

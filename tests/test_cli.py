@@ -115,6 +115,16 @@ class TestParserBasics:
                   "--init", "transfer"])
         assert exc.value.code == 1
 
+    def test_source_checkpoint_requires_transfer_init(self, tmp_path, toy_env, capsys):
+        # the checkpoint is never opened: random init would otherwise ignore it
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--manifest", toy_env["manifest"],
+                  "--alphabet", toy_env["alphabet"], "--out", str(tmp_path / "run"),
+                  "--source-checkpoint", str(tmp_path / "nonexistent.ckpt")])
+        assert exc.value.code == 1
+        assert "--init transfer and --source-checkpoint go together" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_flag_defaults_are_the_config_defaults(self):
         parser = build_parser()
         for command in ("train", "experiment"):
@@ -220,9 +230,11 @@ class TestPrepare:
             '{"audio": "a.wav", "text": "x", "duration_s": NaN}',
             '{"audio": "a.wav", "text": "x", "duration_s": Infinity}',
             '{"audio": "a.wav", "text": ["аб"]}',
+            "[" * 100_000,
         ],
         ids=["non-object-row", "non-numeric-duration", "bool-duration", "string-duration",
-             "negative-duration", "nan-duration", "infinite-duration", "list-text"],
+             "negative-duration", "nan-duration", "infinite-duration", "list-text",
+             "deep-nesting"],
     )
     def test_malformed_manifest_row_is_a_data_error(self, tmp_path, capsys, line):
         manifest = tmp_path / "raw.jsonl"
@@ -324,6 +336,23 @@ class TestFeatures:
         assert code == 0
         assert payload["written"] == 1 and payload["skipped"] == 0
         assert cache.read_bytes() == good
+
+    def test_refused_cache_row_is_reported_failed(self, tmp_path, capsys):
+        # a row that already names a cache is checked, not passed through unread
+        good, bad = tmp_path / "good.mfcc", tmp_path / "bad.mfcc"
+        write_feature_cache(np.zeros((30, 13)), good)
+        write_feature_cache(np.zeros((30, 13)), bad)
+        raw = bytearray(bad.read_bytes())
+        raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        bad.write_bytes(bytes(raw))
+        write_manifest([ManifestRow(str(good), "аб"), ManifestRow(str(bad), "аб")],
+                       tmp_path / "m.jsonl")
+        code, payload = run_json(capsys, ["features", "--manifest", str(tmp_path / "m.jsonl"),
+                                          "--out-dir", str(tmp_path / "feat")])
+        assert code == 2
+        assert payload["written"] == 0 and payload["skipped"] == 1
+        assert [f["audio"] for f in payload["failed"]] == [str(bad)]
+        assert "non-finite" in payload["failed"][0]["error"]
 
     def test_out_dir_at_a_regular_file_is_a_data_error(self, tmp_path, capsys):
         manifest = self.build_wav_manifest(tmp_path, n=1)

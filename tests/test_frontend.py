@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -424,13 +426,20 @@ class TestManifest:
             ('{"audio": "b.wav", "text": ["аб"]}', r"m.jsonl:2: text \['аб'\] is not a string"),
             ('{"audio": 7, "text": "y"}', "m.jsonl:2: audio 7 is not a string"),
             ('{"audio": null, "text": "y"}', "m.jsonl:2: audio None is not a string"),
+            ("[" * 100_000, "m.jsonl:2: not JSON: maximum recursion depth"),
         ],
         ids=["non-object-row", "non-numeric-duration", "bool-duration", "string-duration",
              "negative-duration", "nan-duration", "infinite-duration",
-             "list-text", "numeric-audio", "null-audio"],
+             "list-text", "numeric-audio", "null-audio", "deep-nesting"],
     )
     def test_malformed_row_names_path_and_line(self, tmp_path, line, match):
         path = tmp_path / "m.jsonl"
         path.write_text('{"audio": "a.wav", "text": "x"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=match):
+            read_manifest(path)
+
+    def test_non_utf8_manifest_names_path(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes('{"audio": "a.wav", "text": "аб"}\n'.encode("cp1251"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8")):
             read_manifest(path)
