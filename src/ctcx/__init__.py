@@ -32,7 +32,6 @@ from .network import (
     forward,
     init_params,
     log_softmax,
-    recurrent_hidden_outputs,
     tensor_spec,
 )
 from .synthetic import SynthConfig, make_corpus, symbol_prototype, write_corpus
@@ -54,6 +53,7 @@ from .trainer import (
     evaluate,
     load_dataset,
     momentum_step,
+    recognize,
     run_experiment_matrix,
     split_dataset,
     train,

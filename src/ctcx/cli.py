@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ctc import beam_search_decode, greedy_decode
 from .frontend import (
     FeatureConfig,
     ManifestRow,
@@ -35,16 +34,18 @@ from .frontend import (
     write_feature_cache,
     write_manifest,
 )
-from .network import ModelConfig, forward, log_softmax
+from .network import ModelConfig
 from .synthetic import SynthConfig, write_corpus
 from .text_labels import Alphabet, builtin_alphabet, decode, load_alphabet, normalize_transcript
 from .trainer import (
     ARCH_NAMES,
     DECODERS,
     TrainConfig,
+    arch_config,
     evaluate,
     load_dataset,
     min_frames_rule,
+    recognize,
     run_experiment_matrix,
     split_dataset,
     train,
@@ -94,6 +95,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _seed_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
     return value
 
 
@@ -158,7 +166,10 @@ def cmd_prepare(args) -> int:
 
     if args.synthetic is not None:
         feature_dir = Path(args.feature_dir) if args.feature_dir else Path(args.out).parent / "features"
-        synth_cfg = SynthConfig(noise_scale=args.noise_scale, proto_seed=args.proto_seed)
+        try:
+            synth_cfg = SynthConfig(noise_scale=args.noise_scale, proto_seed=args.proto_seed)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         rows = write_corpus(feature_dir, alphabet, args.synthetic, args.seed, synth_cfg)
     else:
         if args.manifest is None:
@@ -313,13 +324,7 @@ def cmd_train(args) -> int:
     cfg = _train_config_from_args(args)
     utterances = _load_utterances(args.manifest, alphabet)
 
-    feature_dim = utterances[0].features.shape[1]
-    model_cfg = ModelConfig(
-        feature_dim=feature_dim,
-        num_classes=alphabet.num_classes,
-        hidden=args.hidden,
-        bidirectional=(args.arch == "bilstm"),
-    )
+    model_cfg = arch_config(args.arch, utterances[0].features.shape[1], alphabet, args.hidden)
 
     params = None
     if args.init == "transfer":
@@ -432,12 +437,7 @@ def cmd_decode(args) -> int:
     if resampled:
         logger.info("resampled %s to %d Hz", args.wav, cfg.sample_rate_hz)
     values = feature_normalize(raw)
-    logits, _ = forward(params, ckpt.model_config, values, train_mode=False)
-    log_probs = log_softmax(logits)
-    if args.decoder == "beam":
-        ids = beam_search_decode(log_probs, args.beam_width)
-    else:
-        ids = greedy_decode(log_probs)
+    _, ids = recognize(params, ckpt.model_config, values, args.decoder, args.beam_width)
     transcript = decode(ids, ckpt.alphabet)
 
     _emit(args, {"transcript": transcript, "resampled": resampled, "frames": int(values.shape[0])},
@@ -511,7 +511,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--grad-clip-norm", type=float, default=defaults.grad_clip_norm)
     p.add_argument("--strict-paper", action="store_true",
                    help="disable gradient clipping; train with the bare defaults")
-    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--seed", type=_seed_arg, default=defaults.seed)
     p.add_argument("--eval-decoder", choices=DECODERS, default=defaults.eval_decoder)
     p.add_argument("--beam-width", type=_positive_int, default=defaults.beam_width)
     p.add_argument("--hidden", type=_positive_int, default=ModelConfig.hidden)
@@ -534,9 +534,9 @@ def build_parser() -> _Parser:
     p.add_argument("--synthetic", type=_positive_int, default=None,
                    help="generate N synthetic utterances instead of reading --manifest")
     p.add_argument("--feature-dir", help="where synthetic feature files go")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--noise-scale", type=float, default=SynthConfig.noise_scale)
-    p.add_argument("--proto-seed", type=int, default=SynthConfig.proto_seed)
+    p.add_argument("--proto-seed", type=_seed_arg, default=SynthConfig.proto_seed)
 
     p = add("features", cmd_features, "extract MFCC cache files for a manifest")
     p.add_argument("--manifest", required=True)
@@ -559,7 +559,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target-alphabet", required=True)
     p.add_argument("--out", required=True, help="target checkpoint path")
     p.add_argument("--report", help="report JSON path (default: out with .report.json)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--verify-probes", type=_positive_int, default=3)
 
     p = add("evaluate", cmd_evaluate, "cost and label error rate on a manifest")

@@ -27,9 +27,9 @@ Padding needs no mask: a padded step comes after every valid step of
 its utterance in both directions, so it never feeds one, and backward
 starts it with ``dh_out = 0`` (CTC gives padded rows zero gradient), so its
 ``dz`` is exactly 0 and it adds nothing to the weight gradients, which are
-one product over all T * B rows. ``forward`` and
-``recurrent_hidden_outputs`` take one utterance and run it as a batch of
-one.
+one product over all T * B rows. ``forward`` runs one utterance as a batch
+of one through ``forward_batch``, whose cache keeps every recurrent layer's
+output for backward and for transfer verification.
 
 Parameter layout: all of a model's tensors live in one contiguous float64
 vector, back to back in ``tensor_spec`` order, and each name maps to a
@@ -330,17 +330,22 @@ class ForwardCache:
     lengths: np.ndarray  # (B,) frames of each utterance
     layers: list[_LayerCache]
     masks: list[np.ndarray | None]  # per layer (T, B, R), zero on padding
-    final_hidden: np.ndarray  # (T, B, R)
+    outputs: list[np.ndarray]  # per layer (T, B, R), after dropout
 
 
-def _stack_forward(
+def forward_batch(
     params: ModelParams,
     cfg: ModelConfig,
     features: list[np.ndarray],
-    dropout_seeds: list[int] | None,
-) -> tuple[list[np.ndarray], ForwardCache]:
-    """Run the recurrent stack over a batch; returns per-layer (post-dropout)
-    (T_max, B, R) outputs."""
+    dropout_seeds: list[int] | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass over a batch of (T_b, F) feature matrices.
+
+    Returns (T_max, B, C) logits, whose rows past each utterance's length are
+    padding, and the cache for ``backward_batch``, whose ``outputs`` are the
+    recurrent layers' outputs. ``dropout_seeds`` holds one seed per
+    utterance in training mode; ``None`` is eval mode.
+    """
     if not features:
         raise ValueError("empty batch")
     for values in features:
@@ -358,8 +363,7 @@ def _stack_forward(
     dropout = dropout_seeds is not None and cfg.dropout_keep < 1.0
     # one generator per utterance, drawn layer by layer, as in a batch of one
     rngs = [np.random.default_rng(seed) for seed in dropout_seeds] if dropout else []
-    layer_caches, masks = [], []
-    outputs = []
+    layer_caches, masks, outputs = [], [], []
     for li in range(cfg.num_layers):
         xs = [x, _reversed(x, lengths)] if cfg.bidirectional else [x]
         h_dirs, layer_cache = _layer_forward(params.layer(li, cfg), np.stack(xs))
@@ -376,25 +380,9 @@ def _stack_forward(
         masks.append(mask)
         outputs.append(out)
         x = out
-    return outputs, ForwardCache(cfg, lengths, layer_caches, masks, x)
-
-
-def forward_batch(
-    params: ModelParams,
-    cfg: ModelConfig,
-    features: list[np.ndarray],
-    dropout_seeds: list[int] | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass over a batch of (T_b, F) feature matrices.
-
-    Returns (T_max, B, C) logits, whose rows past each utterance's length are
-    padding, and the cache for ``backward_batch``. ``dropout_seeds`` holds one
-    seed per utterance in training mode; ``None`` is eval mode.
-    """
-    outputs, cache = _stack_forward(params, cfg, features, dropout_seeds)
-    hidden = outputs[-1]
-    logits = hidden.reshape(-1, hidden.shape[2]) @ params.dense_w.T + params.dense_b
-    return logits.reshape(hidden.shape[:2] + (cfg.num_classes,)), cache
+    logits = x.reshape(-1, x.shape[2]) @ params.dense_w.T + params.dense_b
+    cache = ForwardCache(cfg, lengths, layer_caches, masks, outputs)
+    return logits.reshape(x.shape[:2] + (cfg.num_classes,)), cache
 
 
 def forward(
@@ -408,14 +396,6 @@ def forward(
     seeds = [dropout_seed] if train_mode else None
     logits, cache = forward_batch(params, cfg, [np.asarray(features, dtype=np.float64)], seeds)
     return logits[:, 0], cache
-
-
-def recurrent_hidden_outputs(
-    params: ModelParams, cfg: ModelConfig, features: np.ndarray
-) -> list[np.ndarray]:
-    """Eval-mode hidden output of every recurrent layer (no dense head)."""
-    outputs, _ = _stack_forward(params, cfg, [np.asarray(features, dtype=np.float64)], None)
-    return [out[:, 0] for out in outputs]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -434,16 +414,17 @@ def backward_batch(
     """
     if cache.cfg != cfg:
         raise ValueError("cache was produced under a different model config")
-    if dlogits.shape != cache.final_hidden.shape[:2] + (cfg.num_classes,):
+    hidden = cache.outputs[-1]
+    if dlogits.shape != hidden.shape[:2] + (cfg.num_classes,):
         raise ValueError(f"dlogits shape {dlogits.shape} does not match the forward pass")
 
     h = cfg.hidden
     grads = zeros_like_params(params)
     flat = dlogits.reshape(-1, cfg.num_classes)
-    grads.dense_w[...] = flat.T @ cache.final_hidden.reshape(len(flat), -1)
+    grads.dense_w[...] = flat.T @ hidden.reshape(len(flat), -1)
     grads.dense_b[...] = flat.sum(axis=0)
 
-    dx = (flat @ params.dense_w).reshape(cache.final_hidden.shape)
+    dx = (flat @ params.dense_w).reshape(hidden.shape)
     for li in range(cfg.num_layers - 1, -1, -1):
         mask = cache.masks[li]
         if mask is not None:

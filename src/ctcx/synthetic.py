@@ -8,6 +8,7 @@ so cache files round-trip exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +36,10 @@ class SynthConfig:
             raise ValueError("bad words_min/words_max")
         if not 1 <= self.word_len_min <= self.word_len_max:
             raise ValueError("bad word_len_min/word_len_max")
-        if self.noise_scale < 0:
-            raise ValueError("bad noise_scale")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError(f"bad noise_scale {self.noise_scale}")
+        if self.proto_seed < 0:
+            raise ValueError(f"proto_seed {self.proto_seed} is negative")
 
     @property
     def frame_seconds(self) -> float:

@@ -129,14 +129,18 @@ def overlap_ratio(source: Alphabet, target: Alphabet) -> float:
 
 
 def load_alphabet(path, name: str | None = None) -> Alphabet:
-    """Read an alphabet file: one symbol per line, space escaped as ``<sp>``."""
+    """Read an alphabet file: one symbol per line, space escaped as ``<sp>``.
+
+    A file that is not UTF-8 or not a valid alphabet raises ValueError
+    naming ``path``.
+    """
     path = Path(path)
-    symbols = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        symbols.append(" " if line == SPACE_ESCAPE else line)
-    return Alphabet(name if name is not None else path.stem, tuple(symbols))
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        symbols = tuple(" " if line == SPACE_ESCAPE else line for line in lines if line)
+        return Alphabet(name if name is not None else path.stem, symbols)
+    except ValueError as e:  # UnicodeDecodeError is one
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_alphabet(alphabet: Alphabet, path) -> None:

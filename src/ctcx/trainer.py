@@ -10,6 +10,7 @@ actual batch length. Evaluation runs one utterance at a time.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -63,22 +64,30 @@ class TrainConfig:
     beam_width: int = 8
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0 or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("learning_rate must be >= 0 and momentum in [0, 1)")
+        if not 0.0 <= self.learning_rate < math.inf or not 0.0 <= self.momentum < 1.0:
+            raise ValueError("learning_rate must be finite and >= 0 and momentum in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError(f"dropout_keep {self.dropout_keep} outside (0, 1]")
-        if len(self.split) != 3 or any(p < 0 for p in self.split):
+        if len(self.split) != 3 or not all(p >= 0 for p in self.split):  # p < 0 passes NaN
             raise ValueError(f"bad split {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split {self.split} does not sum to 1")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
+        if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < math.inf:
             raise ValueError(f"bad grad_clip_norm {self.grad_clip_norm}")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
         if self.eval_decoder not in DECODERS:
             raise ValueError(f"unknown eval_decoder {self.eval_decoder!r}")
         if self.beam_width < 1:
             raise ValueError(f"bad beam_width {self.beam_width}")
+
+
+def arch_config(arch: str, feature_dim: int, alphabet: Alphabet, hidden: int) -> ModelConfig:
+    """The ``ModelConfig`` of an ``ARCH_NAMES`` architecture for an alphabet."""
+    return ModelConfig(feature_dim=feature_dim, num_classes=alphabet.num_classes,
+                       hidden=hidden, bidirectional=arch == "bilstm")
 
 
 @dataclass
@@ -277,6 +286,18 @@ def train_epoch(
     return total_cost / len(data), corpus_ler(decoded)
 
 
+def recognize(params: ModelParams, model_cfg: ModelConfig, features: np.ndarray,
+              decoder: str, beam_width: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Eval-mode (T, C) log-probabilities of one utterance and its decoded label ids."""
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    logits, _ = forward(params, model_cfg, features, train_mode=False)
+    log_probs = log_softmax(logits)
+    if decoder == "greedy":
+        return log_probs, greedy_decode(log_probs)
+    return log_probs, beam_search_decode(log_probs, beam_width)
+
+
 def evaluate(
     params: ModelParams,
     model_cfg: ModelConfig,
@@ -287,18 +308,11 @@ def evaluate(
     """Eval-mode mean cost and corpus LER; deterministic."""
     if not data:
         raise ValueError("empty evaluation set")
-    if decoder not in DECODERS:
-        raise ValueError(f"unknown decoder {decoder!r}")
     total_cost = 0.0
     decoded = []
     for utt in data:
-        logits, _ = forward(params, model_cfg, utt.features, train_mode=False)
-        log_probs = log_softmax(logits)
+        log_probs, hyp = recognize(params, model_cfg, utt.features, decoder, beam_width)
         total_cost += ctc_loss(log_probs, utt.labels)
-        if decoder == "greedy":
-            hyp = greedy_decode(log_probs)
-        else:
-            hyp = beam_search_decode(log_probs, beam_width)
         decoded.append((utt.labels, hyp))
     return total_cost / len(data), corpus_ler(decoded)
 
@@ -421,15 +435,8 @@ def run_experiment_matrix(
     warnings: list[str] = []
     finals: dict[tuple[str, str], MetricsRow] = {}
 
-    model_cfgs = {
-        arch: ModelConfig(
-            feature_dim=utterances[0].features.shape[1],
-            num_classes=alphabet.num_classes,
-            hidden=hidden,
-            bidirectional=(arch == "bilstm"),
-        )
-        for arch in ARCH_NAMES
-    }
+    feature_dim = utterances[0].features.shape[1]
+    model_cfgs = {arch: arch_config(arch, feature_dim, alphabet, hidden) for arch in ARCH_NAMES}
     # every source is transferred before the first run, so a misfit fails fast
     transferred = {
         arch: transfer_weights(source_checkpoints[arch], model_cfg, alphabet, cfg.seed)[0]

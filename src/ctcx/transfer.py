@@ -25,8 +25,8 @@ from .network import (
     GEOMETRY,
     ModelConfig,
     ModelParams,
+    forward_batch,
     init_params,
-    recurrent_hidden_outputs,
     tensor_spec,
     tensor_views,
     validate_params,
@@ -275,30 +275,30 @@ def verify_transfer(
     transferred_params: ModelParams,
     cfg: ModelConfig,
     probe_features,
-    post_training: bool = False,
 ) -> VerifyReport:
     """Check that both recurrent stacks produce identical hidden outputs.
 
     ``cfg`` describes the shared recurrent geometry (the dense heads may
-    differ and are not run). Any nonzero deviation raises unless
-    ``post_training`` is set, in which case it is only reported.
+    differ). Any nonzero deviation raises TransferVerificationError naming
+    the first layer that differs.
     """
     probes = [probe_features] if isinstance(probe_features, np.ndarray) else list(probe_features)
-    # class counts may differ between the two heads; only the stacks are run
+    # class counts may differ between the two heads; each model runs its own
     src_cfg = replace(cfg, num_classes=source_params.dense_b.shape[0])
     tgt_cfg = replace(cfg, num_classes=transferred_params.dense_b.shape[0])
     max_dev = 0.0
     first = None
     for probe in probes:
-        src_out = recurrent_hidden_outputs(source_params, src_cfg, probe)
-        tgt_out = recurrent_hidden_outputs(transferred_params, tgt_cfg, probe)
+        batch = [np.asarray(probe, dtype=np.float64)]
+        src_out = forward_batch(source_params, src_cfg, batch)[1].outputs
+        tgt_out = forward_batch(transferred_params, tgt_cfg, batch)[1].outputs
         for li, (a, b) in enumerate(zip(src_out, tgt_out)):
-            dev = float(np.max(np.abs(a - b))) if a.shape == b.shape else np.inf
+            dev = float(np.max(np.abs(a - b)))
             if dev > 0.0 and first is None:
                 first = f"layer{li + 1}"
             max_dev = max(max_dev, dev)
     ok = max_dev == 0.0
-    if not ok and not post_training:
+    if not ok:
         raise TransferVerificationError(
             f"hidden outputs diverge at {first}: max abs deviation {max_dev:g}"
         )

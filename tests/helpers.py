@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ctcx import Utterance, encode, frontend, make_corpus
+from ctcx import Utterance, encode, forward, frontend, make_corpus
 from ctcx.ctc import ctc_forward_backward_batch
 
 
@@ -18,6 +18,11 @@ def corpus_utterances(alphabet, count, seed):
         Utterance(utt_id, text, encode(text, alphabet), feats)
         for utt_id, text, feats in make_corpus(alphabet, count, seed)
     ]
+
+
+def hidden_outputs(params, cfg, features):
+    """The eval-mode (T, R) output of every recurrent layer for one utterance."""
+    return [out[:, 0] for out in forward(params, cfg, features)[1].outputs]
 
 
 def ctc_one(log_probs, labels):

@@ -29,6 +29,7 @@ from ctcx import (
     read_checkpoint,
     read_feature_cache,
     read_manifest,
+    recognize,
     save_alphabet,
     save_checkpoint,
     save_wav,
@@ -107,6 +108,31 @@ class TestParserBasics:
                   "--alphabet", toy_env["alphabet"], "--out", str(tmp_path),
                   "--momentum", "1.0"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+        ("--grad-clip-norm", "nan"), ("--grad-clip-norm", "inf"), ("--split", "nan,0.5,0.5"),
+    ])
+    def test_non_finite_training_flag_is_a_usage_error(self, tmp_path, toy_env, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--manifest", toy_env["manifest"],
+                  "--alphabet", toy_env["alphabet"], "--out", str(tmp_path / "run"),
+                  "--epochs", "1", "--hidden", "2", flag, value])
+        assert exc.value.code == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--manifest", "m", "--alphabet", "kk", "--out", "o", "--seed", "-1"],
+        ["experiment", "--manifest", "m", "--alphabet", "kk", "--out", "o", "--seed", "-1"],
+        ["transfer", "--source", "s", "--target-alphabet", "kk", "--out", "o", "--seed", "-1"],
+        ["prepare", "--alphabet", "kk", "--out", "o", "--synthetic", "3", "--seed", "-1"],
+        ["prepare", "--alphabet", "kk", "--out", "o", "--synthetic", "3", "--proto-seed", "-1"],
+    ])
+    def test_negative_seed_is_a_usage_error_naming_the_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"argument {argv[-2]}: expected a non-negative integer" in capsys.readouterr().err
 
     def test_transfer_init_requires_source(self, tmp_path, toy_env):
         with pytest.raises(SystemExit) as exc:
@@ -254,6 +280,14 @@ class TestPrepare:
         assert code == 0
         assert payload["kept"] == 2
         assert len(read_manifest(out)) == 2
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_noise_scale_is_a_usage_error(self, tmp_path, noise):
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--alphabet", "kk", "--synthetic", "3", "--noise-scale", noise,
+                  "--out", str(tmp_path / "clean.jsonl"), "--feature-dir", str(tmp_path / "feat")])
+        assert exc.value.code == 1
+        assert not (tmp_path / "feat").exists()
 
     def test_no_input_source_is_a_data_error(self, tmp_path, capsys):
         code = main(["prepare", "--alphabet", "ru", "--out", str(tmp_path / "o.jsonl")])
@@ -658,6 +692,23 @@ class TestDecodeCommand:
         expected = decode(oracle_beam_search(toy_log_probs(ckpt, features), 8), TOY)
         assert expected
         assert payload["transcript"] == expected
+
+    @pytest.mark.parametrize("decoder", ["greedy", "beam"])
+    def test_transcript_is_the_recognized_ids(self, tmp_path, capsys, decoder):
+        ckpt = tmp_path / "m.ckpt"
+        cfg = toy_checkpoint(ckpt, bidirectional=True)
+        wav = tmp_path / "in.wav"
+        sine_wav(wav, seconds=1.0)
+        code, payload = run_json(capsys, [
+            "decode", "--checkpoint", str(ckpt), "--wav", str(wav),
+            "--decoder", decoder, "--beam-width", "4",
+        ])
+        assert code == 0
+        features = feature_normalize(wav_features(wav, FeatureConfig())[0])
+        params = params_from_checkpoint(read_checkpoint(ckpt))
+        _, ids = recognize(params, cfg, features, decoder, 4)
+        assert ids
+        assert payload["transcript"] == decode(ids, TOY)
 
     def test_other_rate_sets_resampled_flag(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"

@@ -1,11 +1,11 @@
-"""Seeded mutation fuzz of the four file readers.
+"""Seeded mutation fuzz of the five file readers.
 
 Each mutant of a valid file either reads or raises the reader's documented
 error, whose message starts with the file's path; no other exception may
 escape. A checkpoint or feature cache that reads writes back the bytes it
 was read from, so no mutant is read wrong without an error. A sample of the
-checkpoint mutants also goes through ``ctcx transfer``, which must exit 0 on
-the ones that read and 2 on the rest, never 3.
+checkpoint and alphabet mutants also goes through ``ctcx transfer``, which
+must exit 0 on the ones that read and 2 on the rest, never 3.
 """
 import json
 
@@ -18,10 +18,12 @@ from ctcx import (
     ModelConfig,
     WavFormatError,
     init_params,
+    load_alphabet,
     load_wav,
     read_checkpoint,
     read_feature_cache,
     read_manifest,
+    save_alphabet,
     save_checkpoint,
     save_wav,
     write_checkpoint,
@@ -114,6 +116,16 @@ def run_reader(tmp_path, mutants, read, error, write=None):
     return accepted, refused
 
 
+def cli_sample(accepted, refused):
+    """(mutant, expected exit code) pairs for a sample of both outcomes."""
+    return [*((d, 0) for d in accepted[::40]), *((d, 2) for d in refused[::25])]
+
+
+def transfer_exit_code(tmp_path, source, target_alphabet) -> int:
+    return cli_main(["transfer", "--source", str(source), "--target-alphabet", target_alphabet,
+                     "--out", str(tmp_path / "out.ckpt"), "--verify-probes", "1"])
+
+
 def checkpoint_mutants(raw: bytes, tmp_path, rng):
     header_len = int.from_bytes(raw[8:12], "little")
     prefix_len = 12 + header_len + (-(12 + header_len)) % 64
@@ -135,11 +147,9 @@ def test_checkpoint_reads_and_writes_back_the_same_bytes_or_is_refused(tmp_path,
     accepted, refused = run_reader(tmp_path, checkpoint_mutants(path.read_bytes(), tmp_path, rng),
                                    read_checkpoint, CheckpointError, write_checkpoint)
     source = tmp_path / "source.ckpt"
-    for data, code in [*((d, 0) for d in accepted[::40]), *((d, 2) for d in refused[::25])]:
+    for data, code in cli_sample(accepted, refused):
         source.write_bytes(data)
-        argv = ["transfer", "--source", str(source), "--target-alphabet", "ru",
-                "--out", str(tmp_path / "out.ckpt"), "--verify-probes", "1"]
-        assert cli_main(argv) == code
+        assert transfer_exit_code(tmp_path, source, "ru") == code
 
 
 def test_feature_cache_reads_and_writes_back_the_same_bytes_or_is_refused(tmp_path):
@@ -178,3 +188,17 @@ def test_manifest_reads_or_raises_value_error(tmp_path):
 
     mutants = [*byte_mutants(raw, rng), *field_mutants()]
     run_reader(tmp_path, mutants, read_manifest, ValueError)
+
+
+def test_alphabet_reads_or_raises_value_error(tmp_path, kk):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "valid.alphabet"
+    save_alphabet(kk, path)
+    accepted, refused = run_reader(tmp_path, byte_mutants(path.read_bytes(), rng),
+                                   load_alphabet, ValueError)
+    cfg = ModelConfig(feature_dim=3, num_classes=kk.num_classes, hidden=2, num_layers=2)
+    source, target = tmp_path / "source.ckpt", tmp_path / "target.alphabet"
+    save_checkpoint(init_params(cfg), cfg, kk, source)
+    for data, code in cli_sample(accepted, refused):
+        target.write_bytes(data)
+        assert transfer_exit_code(tmp_path, source, str(target)) == code

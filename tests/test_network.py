@@ -7,7 +7,6 @@ from ctcx import (
     forward,
     init_params,
     log_softmax,
-    recurrent_hidden_outputs,
     tensor_spec,
 )
 from ctcx.network import (
@@ -15,7 +14,7 @@ from ctcx.network import (
     validate_params,
     zeros_like_params,
 )
-from helpers import ctc_one
+from helpers import ctc_one, hidden_outputs
 from oracles import max_relative_error, network_fd_grads
 
 
@@ -108,7 +107,7 @@ class TestGateEquations:
         params = zeros_like_params(init_params(cfg))
         params.tensors["layer1.fwd.bias"][...] = bias
 
-        out = recurrent_hidden_outputs(params, cfg, np.zeros((3, 2)))[0]
+        out = hidden_outputs(params, cfg, np.zeros((3, 2)))[0]
 
         sig = lambda z: 1 / (1 + np.exp(-z))
         i, f, g, o = sig(0.5), sig(0.25), np.tanh(0.3), sig(-0.2)
@@ -130,7 +129,7 @@ class TestGateEquations:
         x = rng.standard_normal((6, 3))
 
         with np.errstate(over="raise", invalid="raise"):
-            hidden = recurrent_hidden_outputs(params, cfg, x)
+            hidden = hidden_outputs(params, cfg, x)
             logits, cache = forward(params, cfg, x)
             grads = backward_batch(params, cfg, cache, rng.standard_normal(logits.shape)[:, None])
 
@@ -241,8 +240,8 @@ class TestDirectionSymmetry:
                     dst[...] = src
 
         x = rng.standard_normal((6, 3))
-        original = recurrent_hidden_outputs(params, cfg, x)
-        mirrored = recurrent_hidden_outputs(swapped, cfg, x[::-1])
+        original = hidden_outputs(params, cfg, x)
+        mirrored = hidden_outputs(swapped, cfg, x[::-1])
         # column swapping reorders the matmul reduction, so agreement is
         # to float rounding rather than bit-for-bit
         for out, mir in zip(original, mirrored):

@@ -139,6 +139,15 @@ class TestAlphabetFiles:
         save_alphabet(ru, path)
         assert load_alphabet(path, name="custom").name == "custom"
 
+    @pytest.mark.parametrize("content", [b"\xd0\xb0\n\xff\n<sp>\n", "ab\n<sp>\n".encode(),
+                                         "а\nа\n<sp>\n".encode(), "а\n".encode()])
+    def test_bad_file_raises_value_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "letters.alphabet"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as exc:
+            load_alphabet(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_failed_save_keeps_the_old_file(self, kk, ru, tmp_path, monkeypatch):
         path = tmp_path / "letters.alphabet"
         save_alphabet(ru, path)

@@ -10,6 +10,7 @@ from ctcx import (
     ManifestRow,
     ModelConfig,
     OptimizerState,
+    SynthConfig,
     TrainConfig,
     checkpoint_from_params,
     evaluate,
@@ -73,7 +74,13 @@ class TestTrainConfig:
             dict(dropout_keep=1.5),
             dict(split=(0.5, 0.5, 0.5)),
             dict(split=(1.0, 0.0)),
+            dict(split=(float("nan"), 0.5, 0.5)),
             dict(grad_clip_norm=0.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(grad_clip_norm=float("nan")),
+            dict(grad_clip_norm=float("inf")),
+            dict(seed=-1),
             dict(eval_decoder="viterbi"),
             dict(beam_width=0),
         ],
@@ -87,6 +94,16 @@ class TestTrainConfig:
 
     def test_clip_may_be_disabled(self):
         assert TrainConfig(grad_clip_norm=None).grad_clip_norm is None
+
+
+class TestSynthConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(noise_scale=-0.1), dict(noise_scale=float("nan")), dict(noise_scale=float("inf")),
+        dict(proto_seed=-1),
+    ])
+    def test_rejects_bad_values(self, kw):
+        with pytest.raises(ValueError):
+            SynthConfig(**kw)
 
 
 class TestSplitDataset:
