@@ -316,6 +316,13 @@ def _load_utterances(manifest_path, alphabet: Alphabet):
     utterances, dropped = load_dataset(rows, alphabet)
     if not utterances:
         raise DataError(f"{manifest_path}: no loadable utterances ({len(dropped)} dropped)")
+    lost = {row for row, _ in dropped}
+    kept_rows = [row for row in rows if row not in lost]
+    dim = utterances[0].features.shape[1]
+    for row, utt in zip(kept_rows, utterances):
+        if utt.features.shape[1] != dim:
+            raise DataError(f"{row.audio}: feature dim {utt.features.shape[1]}, "
+                            f"but {kept_rows[0].audio} has {dim}")
     return utterances
 
 
@@ -374,6 +381,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
+    for flag, other in (("--out", args.out), ("--source", args.source)):
+        if Path(report_path).resolve() == Path(other).resolve():
+            raise UsageError(f"report {report_path} is the same file as {flag} {other}")
     source = read_checkpoint(args.source)
     target_alphabet = _alphabet_arg(args.target_alphabet)
     src_cfg = source.model_config
@@ -385,7 +396,6 @@ def cmd_transfer(args) -> int:
     probes = [rng.standard_normal((20, src_cfg.feature_dim)) for _ in range(args.verify_probes)]
     verify = verify_transfer(params_from_checkpoint(source), params, target_cfg, probes)
 
-    report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
     for path in (args.out, report_path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, target_cfg, target_alphabet, args.out)
@@ -528,11 +538,12 @@ def build_parser() -> _Parser:
         return p
 
     p = add("prepare", cmd_prepare, "normalize transcripts and filter a manifest")
-    p.add_argument("--manifest", help="input manifest (JSON lines)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--manifest", help="input manifest (JSON lines)")
     p.add_argument("--alphabet", required=True, help="ru, kk, or an alphabet file")
     p.add_argument("--out", required=True, help="cleaned manifest path")
-    p.add_argument("--synthetic", type=_positive_int, default=None,
-                   help="generate N synthetic utterances instead of reading --manifest")
+    source.add_argument("--synthetic", type=_positive_int, default=None,
+                        help="generate N synthetic utterances instead of reading --manifest")
     p.add_argument("--feature-dir", help="where synthetic feature files go")
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--noise-scale", type=float, default=SynthConfig.noise_scale)

@@ -37,7 +37,10 @@ writable view of its slice. The recurrent ``layer*`` tensors form a prefix
 of the vector and the dense head (``dense.w``, ``dense.b``) comes last, so
 gradient sums, clipping and optimizer steps are single vector operations,
 a checkpoint payload is the vector cast to float32, and transfer is a copy
-over the recurrent prefix.
+over the recurrent prefix. There each layer's n directions sit back to back
+as equal [w_input, w_recurrent, bias] blocks, so ``ModelParams.layer`` gives
+them, with no copy, as (n, 4H, D), (n, 4H, H) and (n, 4H) views that each
+layer product and weight gradient spans in one call.
 """
 from __future__ import annotations
 
@@ -129,15 +132,14 @@ class ModelParams:
     def dense_b(self) -> np.ndarray:  # (C,)
         return self.tensors["dense.b"]
 
-    def direction(self, layer_index: int, direction: str) -> tuple[np.ndarray, ...]:
-        """(w_input 4H x D, w_recurrent 4H x H, bias 4H) of one direction of one layer."""
-        prefix = f"layer{layer_index + 1}.{direction}"
-        kinds = ("w_input", "w_recurrent", "bias")
-        return tuple(self.tensors[f"{prefix}.{kind}"] for kind in kinds)
-
-    def layer(self, layer_index: int, cfg: ModelConfig) -> list[tuple[np.ndarray, ...]]:
-        """``direction`` of every direction of one layer, forward first."""
-        return [self.direction(layer_index, name) for name in cfg.direction_names]
+    def layer(self, layer_index: int, cfg: ModelConfig) -> tuple[np.ndarray, ...]:
+        """Views (w_input (n, 4H, D), w_recurrent (n, 4H, H), bias (n, 4H)) of one
+        layer's n directions; slice d of each is a tensor of direction d (0 = fwd)."""
+        h, n, d_in = cfg.hidden, cfg.directions, cfg.layer_input_dim(layer_index)
+        start = n * sum(4 * h * (cfg.layer_input_dim(li) + h + 1) for li in range(layer_index))
+        rows = self.vector[start : start + n * 4 * h * (d_in + h + 1)].reshape(n, -1)
+        w_input, w_recurrent, bias = np.split(rows, [4 * h * d_in, 4 * h * (d_in + h)], axis=1)
+        return w_input.reshape(n, 4 * h, d_in), w_recurrent.reshape(n, 4 * h, h), bias
 
 
 def validate_params(params: ModelParams, cfg: ModelConfig) -> None:
@@ -219,20 +221,20 @@ class _LayerCache:
 
 
 def _layer_forward(
-    lps: list[tuple[np.ndarray, ...]], x: np.ndarray
+    layer: tuple[np.ndarray, ...], x: np.ndarray
 ) -> tuple[np.ndarray, _LayerCache]:
-    """Run the n directions whose (w_input, w_recurrent, bias) are ``lps`` over
-    their (n, T, B, D) inputs ``x``; returns the (T, n, B, H) hidden outputs."""
+    """Run the n directions of ``layer``, the stacked views of ``ModelParams.layer``,
+    over their (n, T, B, D) inputs ``x``; returns the (T, n, B, H) hidden outputs."""
+    w_input, w_recurrent, bias = layer
     n_dir, t_len, n_batch, d_in = x.shape
-    h_dim = lps[0][1].shape[1]
+    h_dim = w_recurrent.shape[2]
     k = _gate_scales(h_dim)
     offset = 1.0 - k
     # gates start as the input pre-activations; each step adds the recurrent part
+    z_in = np.matmul(x.reshape(n_dir, -1, d_in), w_input.transpose(0, 2, 1))
     gates = np.empty((t_len, n_dir, n_batch, 4 * h_dim))
-    for d, (w_input, _, bias) in enumerate(lps):
-        z_in = x[d].reshape(-1, d_in) @ w_input.T
-        np.add(z_in.reshape(t_len, n_batch, -1), bias, out=gates[:, d])
-    w_rec_t = np.stack([w_rec for _, w_rec, _ in lps]).transpose(0, 2, 1)
+    np.add(z_in.reshape(x.shape[:3] + (-1,)), bias[:, None, None], out=gates.transpose(1, 0, 2, 3))
+    w_rec_t = w_recurrent.transpose(0, 2, 1)
 
     c = np.zeros((t_len + 1, n_dir, n_batch, h_dim))
     tanh_c = np.empty((t_len, n_dir, n_batch, h_dim))
@@ -259,14 +261,14 @@ def _layer_forward(
 
 
 def _layer_backward(
-    lps: list[tuple[np.ndarray, ...]],
-    grads: list[tuple[np.ndarray, ...]],
+    layer: tuple[np.ndarray, ...],
+    grads: tuple[np.ndarray, ...],
     cache: _LayerCache,
     dh_out: np.ndarray,
 ) -> np.ndarray:
     """Backpropagate the (T, n, B, H) output gradients ``dh_out``, each in its
-    direction's time order. Writes each direction's batch-summed gradients
-    into ``grads[d]``; returns the (n, T, B, D) input gradients."""
+    direction's time order. Writes the batch-summed gradients into ``grads``,
+    stacked like ``layer``; returns the (n, T, B, D) input gradients."""
     n_dir, t_len, n_batch, d_in = cache.x.shape
     h_dim = dh_out.shape[3]
     blocks = (t_len, n_dir, n_batch, 4, h_dim)
@@ -277,7 +279,7 @@ def _layer_backward(
     # fresh memory pages on every call.
     # dz_t = u_t * local_t with u_t = [dc, dc, dc, dh]: d c_t / d [i, f, g] and d h_t / d o,
     # times the slope d gate / d z of (1 - k) + k tanh(k z), written in the activation a.
-    # local is direction-major, so each direction's dz is one block for its weight gradients.
+    # local is indexed (n, T, B, 4H) but laid out like gates, so each step's dz is one block.
     m = np.empty(blocks)
     local = np.subtract(1.0, gates.transpose(1, 0, 2, 3))
     slope_factor = m.reshape(gates.shape)  # m's memory, until m is filled below
@@ -295,7 +297,7 @@ def _layer_backward(
     m[:, :, :, 1:3] = dc_dh[:, :, :, None]
     m[:, :, :, 3] = 1.0
 
-    w_rec = np.stack([w for _, w, _ in lps])  # (n, 4H, H)
+    w_input, w_recurrent, _ = layer
     dh = np.empty((n_dir, n_batch, 1, h_dim))
     u = np.empty((n_dir, n_batch, 4, h_dim))
     v = np.zeros((n_dir, n_batch, 4, h_dim))
@@ -310,18 +312,17 @@ def _layer_backward(
         u += v
         dz = local[:, t]
         dz *= u_flat
-        np.matmul(dz, w_rec, out=dh_next)
+        np.matmul(dz, w_recurrent, out=dh_next)
         np.multiply(u[:, :, :3], f4[t], out=v[:, :, :3])
 
     # one product over all T * B rows of a direction sums the batch
-    dx = np.empty((n_dir, t_len, n_batch, d_in))
-    for d, ((w_input, _, _), (g_input, g_recurrent, g_bias)) in enumerate(zip(lps, grads)):
-        dz_d = local[d].reshape(-1, 4 * h_dim)
-        g_input[...] = dz_d.T @ cache.x[d].reshape(-1, d_in)
-        g_recurrent[...] = dz_d.T @ cache.h[:-1, d].reshape(-1, h_dim)
-        g_bias[...] = dz_d.sum(axis=0)
-        np.matmul(dz_d, w_input, out=dx[d].reshape(-1, d_in))
-    return dx
+    g_input, g_recurrent, g_bias = grads
+    dz = local.reshape(n_dir, -1, 4 * h_dim)
+    h_prev = cache.h[:-1].transpose(1, 0, 2, 3).reshape(n_dir, -1, h_dim)
+    np.matmul(dz.transpose(0, 2, 1), cache.x.reshape(n_dir, -1, d_in), out=g_input)
+    np.matmul(dz.transpose(0, 2, 1), h_prev, out=g_recurrent)
+    dz.sum(axis=1, out=g_bias)
+    return np.matmul(dz, w_input).reshape(cache.x.shape)
 
 
 @dataclass
@@ -404,16 +405,14 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def backward_batch(
-    params: ModelParams, cfg: ModelConfig, cache: ForwardCache, dlogits: np.ndarray
-) -> ModelParams:
+def backward_batch(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> ModelParams:
     """Exact gradients, summed over the batch, of the loss whose (T_max, B, C)
-    logit gradient is ``dlogits``; its padding rows must be zero.
+    logit gradient is ``dlogits`` (zero on padding rows), under ``cache.cfg``.
 
     Returns a zeroed ModelParams with every gradient written into its view.
     """
-    if cache.cfg != cfg:
-        raise ValueError("cache was produced under a different model config")
+    cfg = cache.cfg
+    validate_params(params, cfg)
     hidden = cache.outputs[-1]
     if dlogits.shape != hidden.shape[:2] + (cfg.num_classes,):
         raise ValueError(f"dlogits shape {dlogits.shape} does not match the forward pass")

@@ -279,7 +279,7 @@ def train_epoch(
                 )
             total_cost += -float(log_p[b])
             decoded.append((utt.labels, greedy_decode(log_probs[: cache.lengths[b], b])))
-        batch_grads = backward_batch(params, model_cfg, cache, dlogits)
+        batch_grads = backward_batch(params, cache, dlogits)
         batch_grads.vector *= 1.0 / len(batch)
         momentum_step(params, batch_grads, state, cfg)
 

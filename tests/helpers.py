@@ -25,6 +25,12 @@ def hidden_outputs(params, cfg, features):
     return [out[:, 0] for out in forward(params, cfg, features)[1].outputs]
 
 
+def direction(params, layer_index, cfg, d):
+    """(w_input (4H, D), w_recurrent (4H, H), bias (4H)) of direction d of one
+    layer (0 forward, 1 backward): slice d of ``params.layer``, as views."""
+    return tuple(w[d] for w in params.layer(layer_index, cfg))
+
+
 def ctc_one(log_probs, labels):
     """``ctc_forward_backward_batch`` on a batch of one (T, C) utterance:
     (neg log-likelihood, (T, C) dlogits, (T, S) log_alpha, (T, S) log_beta),

@@ -182,7 +182,7 @@ def oracle_train_epoch(params, model_cfg, data, cfg, state, epoch):
             nll, dlogits, _, _ = oracle_ctc_forward_backward(log_probs, utt.labels)
             total_cost += nll
             decoded.append((utt.labels, greedy_decode(log_probs)))
-            grads.vector += backward_batch(params, model_cfg, cache, dlogits[:, None]).vector
+            grads.vector += backward_batch(params, cache, dlogits[:, None]).vector
         grads.vector *= 1.0 / len(batch)
         momentum_step(params, grads, state, cfg)
     return total_cost / len(data), corpus_ler(decoded)

@@ -138,7 +138,7 @@ def test_04_network_gradients_match_finite_differences(bidirectional):
     labels = (0, 2)
     logits, cache = forward(params, cfg, feats, train_mode=True, dropout_seed=11)
     dlogits = ctc_one(log_softmax(logits), labels)[1]
-    analytic = list(backward_batch(params, cfg, cache, dlogits[:, None]).tensors.items())
+    analytic = list(backward_batch(params, cache, dlogits[:, None]).tensors.items())
     numeric = network_fd_grads(params, cfg, feats, labels, train_mode=True, dropout_seed=11)
     worst = max_relative_error(analytic, numeric)
     assert worst <= 1e-4, f"worst relative BPTT error {worst:g}"

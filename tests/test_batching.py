@@ -34,7 +34,7 @@ from ctcx.network import (
     zeros_like_params,
 )
 from ctcx.trainer import _dropout_seed
-from helpers import corpus_utterances
+from helpers import corpus_utterances, direction
 from oracles import (
     oracle_ctc_forward_backward,
     oracle_direction_backward,
@@ -65,7 +65,7 @@ def per_utterance(params, cfg, feats, labels, seeds):
     for x, y, seed in zip(feats, labels, seeds):
         out, cache = forward(params, cfg, x, train_mode=seeds is not None, dropout_seed=seed)
         nll, dlogits, _, _ = oracle_ctc_forward_backward(log_softmax(out), y)
-        total += backward_batch(params, cfg, cache, dlogits[:, None]).vector
+        total += backward_batch(params, cache, dlogits[:, None]).vector
         nlls.append(nll)
         logits.append(out)
     return total, nlls, logits
@@ -76,7 +76,7 @@ def batched(params, cfg, feats, labels, seeds):
     log_p, dlogits, _, _ = ctc_forward_backward_batch(
         log_softmax(logits), cache.lengths, labels
     )
-    return backward_batch(params, cfg, cache, dlogits).vector, -log_p, logits, dlogits, cache
+    return backward_batch(params, cache, dlogits).vector, -log_p, logits, dlogits, cache
 
 
 @pytest.mark.parametrize("bidirectional", [False, True], ids=["lstm", "bilstm"])
@@ -171,17 +171,17 @@ def test_padded_rows_carry_exactly_zero_gradient(bidirectional):
     # padded inputs leaves the weight gradients bit-identical, in every
     # direction slot (each direction keeps the padding after its valid steps)
     for li, layer in enumerate(cache.layers):
-        lps = params.layer(li, cfg)
+        weights = params.layer(li, cfg)
         assert len(layer.x) == cfg.directions
         dh_out = np.where(padding[:, None, :, None], 0.0, rng.standard_normal(layer.h[1:].shape))
         noisy_x = layer.x.copy()
         noisy_x[:, padding] = 1e3 * rng.standard_normal(noisy_x[:, padding].shape)
-        clean, noisy = (zeros_like_params(params).layer(li, cfg) for _ in range(2))
-        dx = _layer_backward(lps, clean, layer, dh_out)
-        _layer_backward(lps, noisy, replace(layer, x=noisy_x), dh_out)
+        clean, noisy = (zeros_like_params(params) for _ in range(2))
+        dx = _layer_backward(weights, clean.layer(li, cfg), layer, dh_out)
+        _layer_backward(weights, noisy.layer(li, cfg), replace(layer, x=noisy_x), dh_out)
         for d in range(cfg.directions):
             assert np.all(dx[d][padding] == 0.0)
-            for a, b in zip(clean[d], noisy[d]):
+            for a, b in zip(direction(clean, li, cfg, d), direction(noisy, li, cfg, d)):
                 np.testing.assert_array_equal(a, b)
 
 
@@ -202,21 +202,21 @@ def test_stacked_layer_equals_per_direction_oracle(bidirectional, hidden, length
     for li in range(cfg.num_layers):
         x = pad_batch([rng.standard_normal((t, cfg.layer_input_dim(li))) for t in lengths])
         xs = [x, _reversed(x, lengths)][: cfg.directions]
-        lps = params.layer(li, cfg)
-        h_dirs, cache = _layer_forward(lps, np.stack(xs))
+        h_dirs, cache = _layer_forward(params.layer(li, cfg), np.stack(xs))
         dh_out = rng.standard_normal(h_dirs.shape)
-        grads = zeros_like_params(params).layer(li, cfg)
-        dx = _layer_backward(lps, grads, cache, dh_out)
-        for d, name in enumerate(cfg.direction_names):
-            want_h, want = oracle_direction_forward(lps[d], xs[d])
+        grads = zeros_like_params(params)
+        dx = _layer_backward(params.layer(li, cfg), grads.layer(li, cfg), cache, dh_out)
+        for d in range(cfg.directions):
+            weights = direction(params, li, cfg, d)
+            want_h, want = oracle_direction_forward(weights, xs[d])
             assert np.array_equal(h_dirs[:, d], want_h)
             assert np.array_equal(cache.gates[:, d], want.gates)
             assert np.array_equal(cache.c[:, d], want.c)
             assert np.array_equal(cache.tanh_c[:, d], want.tanh_c)
-            want_grads = zeros_like_params(params).direction(li, name)
-            want_dx = oracle_direction_backward(lps[d], want_grads, want, dh_out[:, d])
+            want_grads = direction(zeros_like_params(params), li, cfg, d)
+            want_dx = oracle_direction_backward(weights, want_grads, want, dh_out[:, d])
             assert np.array_equal(dx[d], want_dx)
-            for got_g, want_g in zip(grads[d], want_grads):
+            for got_g, want_g in zip(direction(grads, li, cfg, d), want_grads):
                 assert np.array_equal(got_g, want_g)
 
 

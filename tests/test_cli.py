@@ -294,6 +294,17 @@ class TestPrepare:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_manifest_and_synthetic_together_is_a_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(write_corpus(tmp_path / "src", TOY, 2, seed=1), manifest)
+        out = tmp_path / "o.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--alphabet", "kk", "--manifest", str(manifest),
+                  "--synthetic", "3", "--out", str(out), "--feature-dir", str(tmp_path / "feat")])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "feat").exists()
+
     def test_missing_manifest_is_a_data_error(self, tmp_path):
         code = main(["prepare", "--alphabet", "ru", "--out", str(tmp_path / "o.jsonl"),
                      "--manifest", str(tmp_path / "none.jsonl")])
@@ -611,6 +622,23 @@ class TestTransferCommand:
         assert read_checkpoint(out).alphabet_name == "kk"
         assert json.loads(report.read_text())["out"] == str(out)
 
+    @pytest.mark.parametrize("clash", ["out", "source"])
+    def test_report_on_out_or_source_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       clash):
+        src_path = tmp_path / "toy.ckpt"
+        toy_checkpoint(src_path)
+        source_bytes = src_path.read_bytes()
+        out = tmp_path / "kk.ckpt"
+        monkeypatch.chdir(tmp_path)  # a relative --report names the same file
+        report = {"out": "kk.ckpt", "source": "toy.ckpt"}[clash]
+        with pytest.raises(SystemExit) as exc:
+            main(["transfer", "--source", str(src_path), "--target-alphabet", "kk",
+                  "--out", str(out), "--report", report])
+        assert exc.value.code == 1
+        assert f"same file as --{clash}" in capsys.readouterr().err
+        assert not out.exists()
+        assert src_path.read_bytes() == source_bytes
+
     def test_missing_source_is_a_data_error(self, tmp_path, capsys):
         code = main(["transfer", "--source", str(tmp_path / "none.ckpt"),
                      "--target-alphabet", "kk", "--out", str(tmp_path / "o.ckpt")])
@@ -824,3 +852,19 @@ class TestExperimentCommand:
         ))
         assert code == 2
         assert "two source checkpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [train_argv, experiment_argv], ids=["train", "experiment"])
+def test_mixed_feature_dims_are_a_data_error_before_any_output(tmp_path, toy_env, capsys,
+                                                                argv):
+    rows = read_manifest(toy_env["manifest"])[:3]
+    wide = tmp_path / "wide.mfcc"
+    write_feature_cache(np.random.default_rng(0).standard_normal((40, 15)), wide)
+    rows.insert(2, ManifestRow(str(wide), "аб"))
+    manifest = tmp_path / "mixed.jsonl"
+    write_manifest(rows + rows[:2], manifest)
+    out = tmp_path / "run"
+    code = main(argv({**toy_env, "manifest": str(manifest)}, out))
+    assert code == 2
+    assert f"{wide}: feature dim 15, but {rows[0].audio} has 13" in capsys.readouterr().err
+    assert not out.exists()

@@ -14,7 +14,7 @@ from ctcx.network import (
     validate_params,
     zeros_like_params,
 )
-from helpers import ctc_one, hidden_outputs
+from helpers import ctc_one, direction, hidden_outputs
 from oracles import max_relative_error, network_fd_grads
 
 
@@ -51,6 +51,41 @@ class TestTensorLayout:
         cfg = small_cfg(bidirectional=True)
         params = init_params(cfg)
         assert list(params.tensors) == [n for n, _ in tensor_spec(cfg)]
+
+    @pytest.mark.parametrize("bidirectional", [False, True], ids=["lstm", "bilstm"])
+    def test_layer_views_write_through(self, bidirectional):
+        cfg = small_cfg(bidirectional=bidirectional)
+        params = init_params(cfg)
+        for li in range(cfg.num_layers):
+            for view in params.layer(li, cfg):
+                before = params.vector.copy()
+                view += 1.0
+                assert np.count_nonzero(params.vector != before) == view.size
+
+    @pytest.mark.parametrize("bidirectional", [False, True], ids=["lstm", "bilstm"])
+    def test_layer_blocks_tile_the_recurrent_prefix(self, bidirectional):
+        cfg = small_cfg(bidirectional=bidirectional)
+        params = init_params(cfg)
+        params.vector[...] = np.arange(params.vector.size)  # every value names its slot
+        n = cfg.directions
+        blocks = [
+            np.concatenate([w.reshape(n, -1) for w in params.layer(li, cfg)], axis=1).ravel()
+            for li in range(cfg.num_layers)
+        ]
+        recurrent = params.vector.size - params.dense_w.size - params.dense_b.size
+        np.testing.assert_array_equal(np.concatenate(blocks), params.vector[:recurrent])
+
+    @pytest.mark.parametrize("bidirectional", [False, True], ids=["lstm", "bilstm"])
+    def test_layer_slice_is_the_named_tensor(self, bidirectional):
+        cfg = small_cfg(bidirectional=bidirectional)
+        params = init_params(cfg)
+        for li in range(cfg.num_layers):
+            stacked = params.layer(li, cfg)
+            for d, name in enumerate(cfg.direction_names):
+                for kind, view in zip(("w_input", "w_recurrent", "bias"), stacked):
+                    tensor = params.tensors[f"layer{li + 1}.{name}.{kind}"]
+                    assert view[d].ctypes.data == tensor.ctypes.data
+                    assert (view[d].shape, view[d].strides) == (tensor.shape, tensor.strides)
 
     def test_validate_catches_shape_drift(self):
         params = init_params(small_cfg())
@@ -131,7 +166,7 @@ class TestGateEquations:
         with np.errstate(over="raise", invalid="raise"):
             hidden = hidden_outputs(params, cfg, x)
             logits, cache = forward(params, cfg, x)
-            grads = backward_batch(params, cfg, cache, rng.standard_normal(logits.shape)[:, None])
+            grads = backward_batch(params, cache, rng.standard_normal(logits.shape)[:, None])
 
         expected = np.tile(np.tanh(sign), (6, 2))
         for out in hidden:
@@ -232,11 +267,11 @@ class TestDirectionSymmetry:
 
         swapped = ModelParams(params.spec, params.vector.copy())
         for li in range(cfg.num_layers):
-            for to, frm in (("fwd", "bwd"), ("bwd", "fwd")):
-                w_input, w_recurrent, bias = params.direction(li, frm)
+            for to, frm in ((0, 1), (1, 0)):
+                w_input, w_recurrent, bias = direction(params, li, cfg, frm)
                 if li > 0:
                     w_input = col_swapped(w_input)
-                for dst, src in zip(swapped.direction(li, to), (w_input, w_recurrent, bias)):
+                for dst, src in zip(direction(swapped, li, cfg, to), (w_input, w_recurrent, bias)):
                     dst[...] = src
 
         x = rng.standard_normal((6, 3))
@@ -253,18 +288,17 @@ class TestDirectionSymmetry:
 class TestBackward:
     def test_config_mismatch_rejected(self, rng):
         cfg = small_cfg()
-        params = init_params(cfg)
-        _, cache = forward(params, cfg, rng.standard_normal((5, 3)))
-        other = small_cfg(seed=99)
-        with pytest.raises(ValueError, match="different model config"):
-            backward_batch(params, other, cache, np.zeros((5, 1, 4)))
+        _, cache = forward(init_params(cfg), cfg, rng.standard_normal((5, 3)))
+        other = init_params(small_cfg(bidirectional=True))
+        with pytest.raises(ValueError, match="params/config tensor mismatch"):
+            backward_batch(other, cache, np.zeros((5, 1, 4)))
 
     def test_dlogits_shape_checked(self, rng):
         cfg = small_cfg()
         params = init_params(cfg)
         _, cache = forward(params, cfg, rng.standard_normal((5, 3)))
         with pytest.raises(ValueError, match="dlogits shape"):
-            backward_batch(params, cfg, cache, np.zeros((4, 1, 4)))
+            backward_batch(params, cache, np.zeros((4, 1, 4)))
 
     def test_gradient_shapes_mirror_params(self, rng):
         cfg = small_cfg(bidirectional=True)
@@ -272,7 +306,7 @@ class TestBackward:
         x = rng.standard_normal((5, 3))
         logits, cache = forward(params, cfg, x)
         dlogits = ctc_one(log_softmax(logits), [0, 1])[1]
-        grads = backward_batch(params, cfg, cache, dlogits[:, None])
+        grads = backward_batch(params, cache, dlogits[:, None])
         for (n1, p), (n2, g) in zip(params.tensors.items(), grads.tensors.items()):
             assert n1 == n2 and p.shape == g.shape
 
@@ -285,7 +319,7 @@ class TestBackward:
         labels = [0, 2]
         logits, cache = forward(params, cfg, x, train_mode=False)
         dlogits = ctc_one(log_softmax(logits), labels)[1]
-        analytic = list(backward_batch(params, cfg, cache, dlogits[:, None]).tensors.items())
+        analytic = list(backward_batch(params, cache, dlogits[:, None]).tensors.items())
         numeric = network_fd_grads(params, cfg, x, labels, train_mode=False, dropout_seed=0)
         assert max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
 
