@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,8 @@ def _workers() -> int:
             return max(1, int(env))
         except ValueError:
             raise DataError(f"CTCX_THREADS={env!r} is not an integer") from None
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -527,17 +530,23 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--hidden", type=_positive_int, default=ModelConfig.hidden)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The ``ctcx`` parser, built once per process; callers only parse with it.
+
+    It names the subcommand in ``args.command``, and ``main`` looks up its
+    ``cmd_*`` function on every call, so a function replaced on this module
+    after the first call (as a tracer does) is the one that runs.
+    """
     parser = _Parser(prog="ctcx", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> _Parser:
+    def add(name: str, help_text: str) -> _Parser:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
         return p
 
-    p = add("prepare", cmd_prepare, "normalize transcripts and filter a manifest")
+    p = add("prepare", "normalize transcripts and filter a manifest")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--manifest", help="input manifest (JSON lines)")
     p.add_argument("--alphabet", required=True, help="ru, kk, or an alphabet file")
@@ -549,12 +558,12 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-scale", type=float, default=SynthConfig.noise_scale)
     p.add_argument("--proto-seed", type=_seed_arg, default=SynthConfig.proto_seed)
 
-    p = add("features", cmd_features, "extract MFCC cache files for a manifest")
+    p = add("features", "extract MFCC cache files for a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--out-manifest", help="rewritten manifest path (default: out-dir/manifest.jsonl)")
 
-    p = add("train", cmd_train, "train a recognizer")
+    p = add("train", "train a recognizer")
     p.add_argument("--manifest", required=True)
     p.add_argument("--alphabet", required=True)
     p.add_argument("--arch", choices=tuple(ARCH_NAMES), default="bilstm")
@@ -565,7 +574,7 @@ def build_parser() -> _Parser:
                    help="train on every utterance; no validation split")
     _add_train_flags(p)
 
-    p = add("transfer", cmd_transfer, "copy recurrent weights to a new alphabet")
+    p = add("transfer", "copy recurrent weights to a new alphabet")
     p.add_argument("--source", required=True, help="source checkpoint")
     p.add_argument("--target-alphabet", required=True)
     p.add_argument("--out", required=True, help="target checkpoint path")
@@ -573,19 +582,19 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--verify-probes", type=_positive_int, default=3)
 
-    p = add("evaluate", cmd_evaluate, "cost and label error rate on a manifest")
+    p = add("evaluate", "cost and label error rate on a manifest")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--decoder", choices=DECODERS, default=TrainConfig.eval_decoder)
     p.add_argument("--beam-width", type=_positive_int, default=TrainConfig.beam_width)
 
-    p = add("decode", cmd_decode, "transcribe one WAV file")
+    p = add("decode", "transcribe one WAV file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--wav", required=True)
     p.add_argument("--decoder", choices=DECODERS, default=TrainConfig.eval_decoder)
     p.add_argument("--beam-width", type=_positive_int, default=TrainConfig.beam_width)
 
-    p = add("experiment", cmd_experiment, "run the 4-scenario training matrix")
+    p = add("experiment", "run the 4-scenario training matrix")
     p.add_argument("--manifest", required=True)
     p.add_argument("--alphabet", required=True)
     p.add_argument("--source-checkpoint", action="append",
@@ -607,7 +616,7 @@ def main(argv=None) -> int:
         parser.error("--init transfer and --source-checkpoint go together")
 
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as e:
         parser.error(str(e))  # exits with EXIT_USAGE
         raise AssertionError("unreachable")

@@ -10,9 +10,11 @@ import json
 import os
 import struct
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,12 +198,84 @@ def save_wav(clip: AudioClip, path) -> None:
 
 _KAISER_BETA = 8.6
 _ZERO_CROSSINGS = 16
+# outputs per gathered block; at 44.1 kHz its kernel and tap rows are 0.75 MB
+# each, small enough to stay in cache and to reuse freed heap pages
+_RESAMPLE_CHUNK = 1024
+# bytes the kept plans may hold together; a plan larger than this alone (a
+# high source rate whose fractions do not repeat) is built, used and dropped
+_RESAMPLE_MEMO_BYTES = 64 << 20
+
+
+class _ResamplePlan(NamedTuple):
+    """What ``resample`` needs for the first ``len(rows)`` outputs of one rate pair."""
+
+    rows: np.ndarray  # taps row of output j: floor(j / ratio) + 1
+    phase: np.ndarray  # kernel row of output j
+    kernel: np.ndarray  # one windowed-sinc row per distinct fractional position
+
+
+_resample_plans: dict[tuple[int, int], _ResamplePlan] = {}
+_resample_plans_lock = threading.Lock()
 
 
 def resampled_length(num_samples: int, source_hz: int, target_hz: int) -> int:
     """Sample count of a clip resampled from ``source_hz`` to ``target_hz``:
     round(n * target / source), and n itself when the rates match."""
     return int(round(num_samples * (target_hz / source_hz)))
+
+
+def _build_resample_plan(source_hz: int, target_hz: int, n_out: int) -> _ResamplePlan:
+    ratio = target_hz / source_hz
+    scale = min(1.0, ratio)  # lowpass cutoff when decimating
+    support = _ZERO_CROSSINGS / scale
+    half_taps = int(np.floor(support)) + 1
+    offsets = np.arange(2 * half_taps + 1) - half_taps
+
+    pos = np.arange(n_out) / ratio  # position in source samples
+    k0 = np.floor(pos).astype(np.int64)
+    fracs, phase = np.unique(pos - k0, return_inverse=True)
+    kernel = np.empty((len(fracs), len(offsets)))
+    denom = np.i0(_KAISER_BETA)
+    for start in range(0, len(fracs), _RESAMPLE_CHUNK):
+        block = slice(start, start + _RESAMPLE_CHUNK)
+        # tap m covers source index k0 + offsets[m], which is pad[k0 + 1 + m]
+        t = offsets[None, :] - fracs[block, None]
+        u = t / support
+        window = np.where(np.abs(u) <= 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / denom, 0.0)
+        kernel[block] = scale * np.sinc(scale * t) * window
+    plan = _ResamplePlan(k0 + 1, phase, kernel)
+    for table in plan:
+        table.flags.writeable = False
+    return plan
+
+
+def _resample_plan(source_hz: int, target_hz: int, n_out: int) -> _ResamplePlan:
+    """A plan covering at least ``n_out`` outputs, kept while it covers at most
+    ``MAX_UTTERANCE_SECONDS`` of source audio and fits ``_RESAMPLE_MEMO_BYTES``."""
+    key = (source_hz, target_hz)
+    kept = _resample_plans.get(key)
+    if kept is not None and len(kept.rows) >= n_out:
+        return kept
+    cap = resampled_length(int(MAX_UTTERANCE_SECONDS * source_hz), source_hz, target_hz)
+    if n_out > cap:  # longer than any training row; only decode sees these
+        return _build_resample_plan(source_hz, target_hz, n_out)
+    # doubling, so clips in rising length order rebuild the plan a few times, not per clip
+    grown = 0 if kept is None else 2 * len(kept.rows)
+    plan = _build_resample_plan(source_hz, target_hz, min(cap, max(n_out, grown)))
+    with _resample_plans_lock:
+        kept = _resample_plans.get(key)
+        # a plan never shrinks, and the oldest plans make room for a new one
+        longer = kept is None or len(kept.rows) < len(plan.rows)
+        if longer and _plan_bytes(plan) <= _RESAMPLE_MEMO_BYTES:
+            _resample_plans.pop(key, None)
+            _resample_plans[key] = plan
+            while sum(map(_plan_bytes, _resample_plans.values())) > _RESAMPLE_MEMO_BYTES:
+                del _resample_plans[next(iter(_resample_plans))]
+    return plan
+
+
+def _plan_bytes(plan: _ResamplePlan) -> int:
+    return sum(table.nbytes for table in plan)
 
 
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
@@ -211,13 +285,23 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     ``resampled_length``.
 
     Output sample j sits at source position j / ratio = k0 + frac, and its
-    kernel depends on ``frac`` alone. A rational rate ratio repeats only a
-    few fractions (783 distinct ones in 18,400 outputs from 44.1 kHz, 2 from
-    8 kHz), so each chunk evaluates the window and sinc once per distinct
-    fraction, its phase table, and gives every output the row of its phase.
-    The rows are the same elementwise floats the per-sample kernel had, the
-    taps are the same source values, and the reduction is the same einsum
-    over the same contiguous shapes, so the output is bit-identical to
+    kernel depends on ``frac`` alone. So the taps row ``k0 + 1``, the
+    fraction and the kernel row of every output depend only on j and the two
+    rates, never on the audio (Smith and Gossett's filter table). They are
+    built once per ``(source_hz, target_hz)`` as a plan: the row and the
+    phase of each output, and one kernel row per distinct fraction (1,167 in
+    240,000 outputs from 44.1 kHz, 2 from 8 kHz). Each later clip at that
+    rate pair only gathers ``kernel[phase[j]]`` and its taps, 1,024 outputs
+    at a time. A plan grows by doubling when a longer clip arrives and is
+    kept while it covers at most ``MAX_UTTERANCE_SECONDS`` of source audio,
+    the training limit, and while the kept plans fit ``_RESAMPLE_MEMO_BYTES``
+    together, dropping the oldest first; a longer clip builds its own plan
+    and drops it. Kept tables are read-only, and a plan is only replaced by
+    a longer one, so threads may share them.
+
+    The kernel rows are the same elementwise floats the per-sample kernel
+    had, the taps are the same source values, and the reduction is the same
+    einsum over the same contiguous shapes, so the output is bit-identical to
     evaluating the kernel per sample (``tests/oracles.py: oracle_resample``,
     the reference).
     """
@@ -227,31 +311,22 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
         return clip
 
     x = clip.samples
-    ratio = target_hz / clip.sample_rate_hz
     n_out = resampled_length(len(x), clip.sample_rate_hz, target_hz)
-    scale = min(1.0, ratio)  # lowpass cutoff when decimating
-    support = _ZERO_CROSSINGS / scale
-    half_taps = int(np.floor(support)) + 1
-    n_taps = 2 * half_taps + 1
+    rows, phase, kernel = _resample_plan(clip.sample_rate_hz, target_hz, n_out)
+    n_taps = kernel.shape[1]
+    half_taps = n_taps // 2
 
     pad = np.concatenate([np.zeros(half_taps + 1), x, np.zeros(half_taps + 2)])
     taps = np.lib.stride_tricks.sliding_window_view(pad, n_taps)  # row k: pad[k : k + n_taps]
     out = np.empty(n_out)
-    offsets = np.arange(n_taps) - half_taps
-
-    chunk = 8192
-    denom = np.i0(_KAISER_BETA)
-    for start in range(0, n_out, chunk):
-        j = np.arange(start, min(start + chunk, n_out))
-        pos = j / ratio  # position in source samples
-        k0 = np.floor(pos).astype(np.int64)
-        fracs, phase = np.unique(pos - k0, return_inverse=True)
-        # tap m covers source index k0 + offsets[m], which is pad[k0 + 1 + m]
-        t = offsets[None, :] - fracs[:, None]
-        u = t / support
-        window = np.where(np.abs(u) <= 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / denom, 0.0)
-        kernel = scale * np.sinc(scale * t) * window
-        out[j] = np.einsum("ij,ij->i", kernel[phase], taps[k0 + 1])
+    # kernel rows go to one buffer per call ("clip" never clips a phase, and
+    # unlike "raise" writes straight to it), so the taps rows are the only
+    # block each chunk allocates and the heap reuses its pages
+    kernel_rows = np.empty((min(_RESAMPLE_CHUNK, n_out), n_taps))
+    for start in range(0, n_out, _RESAMPLE_CHUNK):
+        j = slice(start, min(start + _RESAMPLE_CHUNK, n_out))
+        gathered = np.take(kernel, phase[j], axis=0, out=kernel_rows[: j.stop - start], mode="clip")
+        out[j] = np.einsum("ij,ij->i", gathered, taps[rows[j]])
 
     np.clip(out, -1.0, 1.0, out=out)
     return AudioClip(out, target_hz)
@@ -260,9 +335,15 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 def wav_features(path, cfg: FeatureConfig) -> tuple[np.ndarray, bool]:
     """Raw (unnormalized) MFCC values of a WAV file, and whether it was resampled.
 
-    Clips at another rate are resampled to ``cfg.sample_rate_hz`` first.
+    Clips at another rate are resampled to ``cfg.sample_rate_hz`` first. A
+    clip too short for one frame at that rate raises ValueError naming
+    ``path``, before any resampling.
     """
     clip = load_wav(path)
+    n = resampled_length(len(clip.samples), clip.sample_rate_hz, cfg.sample_rate_hz)
+    if frame_count(n, cfg) == 0:
+        raise ValueError(f"{path}: shorter than one analysis window at {cfg.sample_rate_hz} Hz "
+                         f"({n} samples, need {cfg.window_samples})")
     resampled = clip.sample_rate_hz != cfg.sample_rate_hz
     if resampled:
         clip = resample(clip, cfg.sample_rate_hz)

@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +39,8 @@ from ctcx import (
     write_feature_cache,
     write_manifest,
 )
-from ctcx.cli import _train_config_from_args, build_parser, main
+from ctcx import cli
+from ctcx.cli import _train_config_from_args, _workers, build_parser, main
 from ctcx.frontend import wav_features
 from oracles import oracle_beam_search, oracle_resample
 
@@ -133,6 +136,46 @@ class TestParserBasics:
             main(argv)
         assert exc.value.code == 1
         assert f"argument {argv[-2]}: expected a non-negative integer" in capsys.readouterr().err
+
+    def test_one_process_answers_like_fresh_ones(self, tmp_path, toy_env, capsys, monkeypatch):
+        # main() reuses one parser: no call, a usage error included, may change a later one
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt)
+        wav = tmp_path / "in.wav"
+        sine_wav(wav)
+        argvs = [
+            ["decode", "--checkpoint", str(ckpt), "--wav", str(wav), "--json"],
+            ["decode", "--checkpoint", str(ckpt), "--wav", str(wav), "--beam-width", "0"],
+            ["evaluate", "--checkpoint", str(ckpt), "--manifest", toy_env["manifest"], "--json"],
+            ["evaluate", "--checkpoint", str(ckpt)],
+        ]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "ctcx.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        ours = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            ours.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in fresh] == [0, 1, 0, 1]
+        assert ours == fresh
+
+    def test_command_replaced_after_the_first_call_is_the_one_run(self, capsys, monkeypatch):
+        # a tracer wraps cmd_* on the module after the one parser may exist
+        with pytest.raises(SystemExit):
+            main(["decode", "--checkpoint", "c", "--wav", "w", "--beam-width", "0"])
+        seen = []
+        monkeypatch.setattr(cli, "cmd_decode", lambda args: seen.append(args.wav) or 0)
+        assert main(["decode", "--checkpoint", "c", "--wav", "w"]) == 0
+        assert seen == ["w"]
 
     def test_transfer_init_requires_source(self, tmp_path, toy_env):
         with pytest.raises(SystemExit) as exc:
@@ -436,15 +479,34 @@ class TestFeatures:
         rows = read_manifest(out_dir / "manifest.jsonl")
         assert [r.audio for r in rows] == [str(out_dir / "a.mfcc")] * 2
 
-    def test_corrupt_wav_reported_per_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("samples,rate,problem", [
+        (None, None, "not a RIFF/WAVE file"),
+        (1, 44100, "shorter than one analysis window at 16000 Hz (0 samples, need 400)"),
+        (100, 16000, "shorter than one analysis window at 16000 Hz (100 samples, need 400)"),
+    ], ids=["not-riff", "one-sample-44k", "100-samples-16k"])
+    def test_unusable_wav_reported_per_file(self, tmp_path, capsys, samples, rate, problem):
         bad = tmp_path / "bad.wav"
-        bad.write_text("this is not audio")
+        if samples:
+            save_wav(AudioClip(np.full(samples, 0.25), rate), bad)
+        else:
+            bad.write_text("this is not audio")
         write_manifest([ManifestRow(str(bad), "аб")], tmp_path / "m.jsonl")
         code = main(["features", "--manifest", str(tmp_path / "m.jsonl"),
                      "--out-dir", str(tmp_path / "feat")])
         err = capsys.readouterr().err
         assert code == 2
-        assert "failed" in err and "bad.wav" in err
+        assert f"ctcx: failed {bad}: " in err and f"Error: {bad}: {problem}" in err
+
+    def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("CTCX_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _workers() == 1
+        monkeypatch.setenv("CTCX_THREADS", "3")
+        assert _workers() == 3
+        monkeypatch.delenv("CTCX_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
+        assert _workers() == 4
 
     def test_thread_env_must_be_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CTCX_THREADS", "many")
@@ -758,12 +820,22 @@ class TestDecodeCommand:
         assert code == 2
         assert "feature dim mismatch" in capsys.readouterr().err
 
-    def test_missing_wav_is_a_data_error(self, tmp_path):
+    @pytest.mark.parametrize("samples,rate,problem", [
+        (None, None, "No such file"),
+        (1, 44100, "shorter than one analysis window at 16000 Hz (0 samples, need 400)"),
+        (100, 16000, "shorter than one analysis window at 16000 Hz (100 samples, need 400)"),
+    ], ids=["missing", "one-sample-44k", "100-samples-16k"])
+    def test_unusable_wav_is_a_data_error_naming_it(self, tmp_path, capsys, samples, rate,
+                                                     problem):
         ckpt = tmp_path / "m.ckpt"
         toy_checkpoint(ckpt)
-        code = main(["decode", "--checkpoint", str(ckpt),
-                     "--wav", str(tmp_path / "none.wav")])
+        wav = tmp_path / "in.wav"
+        if samples:
+            save_wav(AudioClip(np.full(samples, 0.25), rate), wav)
+        code = main(["decode", "--checkpoint", str(ckpt), "--wav", str(wav)])
         assert code == 2
+        err = capsys.readouterr().err
+        assert str(wav) in err and problem in err
 
     @pytest.mark.parametrize("decoder", ["greedy", "beam"])
     def test_non_finite_checkpoint_is_a_data_error(self, tmp_path, capsys, decoder):

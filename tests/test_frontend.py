@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,9 +21,12 @@ from ctcx import (
     write_feature_cache,
     write_manifest,
 )
+from ctcx import frontend
 from ctcx.frontend import (
     LOG_FLOOR,
+    MAX_UTTERANCE_SECONDS,
     _mfcc_tables,
+    _resample_plans,
     dct_matrix,
     hz_to_mel,
     mel_filterbank,
@@ -191,38 +196,111 @@ class TestResample:
     SOURCE_RATES = (8000, 11025, 12000, 22050, 24000, 32000, 44100, 48000, 96000,
                     7999, 16001, 1000)
     TARGET_RATES = (16000, 8000, 22050)
+    # few enough outputs per second that a clip past the 15 s plan cap stays quick
+    SLOW_PAIR = (2000, 1000)
 
     @pytest.mark.slow
     def test_matches_per_sample_oracle_bit_for_bit(self):
-        # 8191/8192/8193 straddle the 8192-output chunk where the rates are
-        # close; lengths whose output would be empty must fail the same way
+        # 1023/1024/1025 and 8191/8192/8193 straddle the 1,024-output chunk and
+        # the plan's doubling where the rates are close; lengths whose output
+        # would be empty must fail the same way. Each input runs against a
+        # cleared memo, then against the plan the pair's earlier inputs left,
+        # short to long and long to short.
         rng = np.random.default_rng(2026)
-        cases = 0
-        for source in self.SOURCE_RATES:
-            for target in self.TARGET_RATES:
-                lengths = [1, 2, 3, 8191, 8192, 8193, *rng.integers(1, 30001, size=2)]
-                for n in lengths:
-                    n = int(n)
-                    if resampled_length(n, source, target) > 40000:
-                        continue  # keeps the per-sample oracle quick
-                    if rng.random() < 0.3:  # on the PCM16 grid, as loaded from a WAV
-                        samples = rng.integers(-32768, 32768, size=n) / 32768.0
-                    else:
-                        samples = np.clip(rng.normal(0.0, 0.4, size=n), -1.0, 1.0)
-                    clip = AudioClip(samples, source)
-                    if resampled_length(n, source, target) == 0:
+        cases = over_cap = 0
+        pairs = [(s, t) for s in self.SOURCE_RATES for t in self.TARGET_RATES]
+        for source, target in [*pairs, self.SLOW_PAIR]:
+            cap = resampled_length(int(MAX_UTTERANCE_SECONDS * source), source, target)
+            lengths = sorted([1, 2, 3, 1023, 1024, 1025, 8191, 8192, 8193,
+                              *rng.integers(1, 30001, size=2), int(MAX_UTTERANCE_SECONDS * source),
+                              int((MAX_UTTERANCE_SECONDS + 1) * source)])
+            inputs = []
+            for n in lengths:
+                n = int(n)
+                if resampled_length(n, source, target) > 40000:
+                    continue  # keeps the per-sample oracle quick
+                if rng.random() < 0.3:  # on the PCM16 grid, as loaded from a WAV
+                    samples = rng.integers(-32768, 32768, size=n) / 32768.0
+                else:
+                    samples = np.clip(rng.normal(0.0, 0.4, size=n), -1.0, 1.0)
+                clip = AudioClip(samples, source)
+                if resampled_length(n, source, target) == 0:
+                    with pytest.raises(ValueError) as theirs:
+                        oracle_resample(clip, target)
+                    inputs.append((clip, str(theirs.value)))
+                else:
+                    inputs.append((clip, oracle_resample(clip, target).samples.tobytes()))
+            for order in ("cold", "short to long", "long to short"):
+                _resample_plans.clear()
+                for clip, want in inputs if order != "long to short" else inputs[::-1]:
+                    if order == "cold":
+                        _resample_plans.clear()
+                    if isinstance(want, str):
                         with pytest.raises(ValueError) as ours:
                             resample(clip, target)
-                        with pytest.raises(ValueError) as theirs:
-                            oracle_resample(clip, target)
-                        assert str(ours.value) == str(theirs.value)
+                        assert str(ours.value) == want
                         continue
                     got = resample(clip, target)
-                    want = oracle_resample(clip, target)
-                    assert got.sample_rate_hz == want.sample_rate_hz == target
-                    assert got.samples.tobytes() == want.samples.tobytes(), (source, target, n)
+                    assert got.sample_rate_hz == target
+                    assert got.samples.tobytes() == want, (source, target, len(clip.samples), order)
+                    kept = _resample_plans.get((source, target))
+                    if source == target:  # returned as it came, no plan
+                        assert got is clip and kept is None
+                    elif len(got.samples) > cap:  # past 15 s: served, not kept
+                        assert kept is None or len(kept.rows) <= cap
+                        over_cap += 1
+                    else:
+                        assert cap >= len(kept.rows) >= len(got.samples)
                     cases += 1
-        assert cases > 200
+        assert cases > 600 and over_cap == 3
+
+    def test_threads_building_one_plan_get_the_oracle_output(self):
+        # more threads than cores, switching often, all asking for a new pair
+        rng = np.random.default_rng(7)
+        clips = [AudioClip(rng.uniform(-0.5, 0.5, n), 44100) for n in (9000, 20000, 4000, 31000)]
+        wants = [oracle_resample(clip, 16000).samples.tobytes() for clip in clips]
+        _resample_plans.clear()
+        barrier = threading.Barrier(len(clips))
+        gots = [None] * len(clips)
+
+        def work(i):
+            barrier.wait(timeout=30)
+            gots[i] = resample(clips[i], 16000).samples.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(clips))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert gots == wants
+        # a plan is only replaced by a longer one, so the longest request is covered
+        assert len(_resample_plans[(44100, 16000)].rows) >= max(len(w) // 8 for w in wants)  # float64
+
+    def test_kept_plan_is_read_only(self):
+        resample(sine(440, 0.3, 22050), 16000)
+        for table in _resample_plans[(22050, 16000)]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_kept_plans_stay_within_the_memo_budget(self, monkeypatch):
+        _resample_plans.clear()
+        short = [sine(440, 0.3, rate) for rate in (22050, 11025)]
+        for clip in short:
+            resample(clip, 16000)
+        sizes = [sum(t.nbytes for t in plan) for plan in _resample_plans.values()]
+        monkeypatch.setattr(frontend, "_RESAMPLE_MEMO_BYTES", max(sizes))
+        _resample_plans.clear()
+        for clip in short:  # the older plan makes room for the newer
+            resample(clip, 16000)
+        assert list(_resample_plans) == [(11025, 16000)]
+        resample(sine(440, 3.0, 44100), 16000)  # alone over the budget: not kept
+        assert list(_resample_plans) == [(11025, 16000)]
 
     def test_interior_reconstruction_error_is_small(self):
         clip = sine(440, 0.25, 8000)
