@@ -180,12 +180,18 @@ def ctc_forward_backward_batch(
     beta = pre[t_rev[:, :, None], n_batch + cols[:, None], s_rev]
     log_p = _log_likelihood(alpha, lat)
 
-    # log_q[t, b, k] sums gamma over the valid s with ext[b, s] == k, in order of s;
-    # logaddexp(x, -inf) == x, so -inf at the padded positions adds nothing
-    gamma = np.where(np.arange(n_pos) < lat.ext_len[:, None], alpha + beta, NEG_INF)
-    log_q = np.full(log_probs.shape, NEG_INF)
-    rows = np.repeat(cols, n_pos)
-    np.logaddexp.at(log_q, (slice(None), rows, lat.ext.ravel()), gamma.reshape(len(gamma), -1))
+    # log_q[t, b, k] sums gamma = alpha + beta over the valid s with ext[b, s] == k, in
+    # order of s: a stable sort of the (b, k) keys of the valid positions groups each
+    # sum and keeps that order, so one reduceat adds them as one at a time would
+    valid_s = np.arange(n_pos) < lat.ext_len[:, None]
+    keys = (cols[:, None] * (blank + 1) + lat.ext)[valid_s]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    gamma = (alpha + beta)[:, valid_s][:, order]
+    log_q = np.full((len(gamma), n_batch * (blank + 1)), NEG_INF)
+    log_q[:, keys[starts]] = np.logaddexp.reduceat(gamma, starts, axis=1)
+    log_q = log_q.reshape(log_probs.shape)
 
     feasible = log_p > NEG_INF
     with np.errstate(invalid="ignore"):  # padding and infeasible rows are dropped below

@@ -209,8 +209,8 @@ _RESAMPLE_MEMO_BYTES = 64 << 20
 class _ResamplePlan(NamedTuple):
     """What ``resample`` needs for the first ``len(rows)`` outputs of one rate pair."""
 
-    rows: np.ndarray  # taps row of output j: floor(j / ratio) + 1
-    phase: np.ndarray  # kernel row of output j
+    rows: np.ndarray  # taps row of output j: floor(j / ratio) + 1 (int32)
+    phase: np.ndarray  # kernel row of output j (int32)
     kernel: np.ndarray  # one windowed-sinc row per distinct fractional position
 
 
@@ -243,7 +243,10 @@ def _build_resample_plan(source_hz: int, target_hz: int, n_out: int) -> _Resampl
         u = t / support
         window = np.where(np.abs(u) <= 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / denom, 0.0)
         kernel[block] = scale * np.sinc(scale * t) * window
-    plan = _ResamplePlan(k0 + 1, phase, kernel)
+    # int32 indices halve what a kept plan holds (at most 2.88M outputs at 192 kHz
+    # and the 15 s cap); only a clip of 2**31 source samples would need int64
+    index = np.int32 if n_out / ratio < np.iinfo(np.int32).max - 1 else np.int64
+    plan = _ResamplePlan((k0 + 1).astype(index), phase.astype(index), kernel)
     for table in plan:
         table.flags.writeable = False
     return plan

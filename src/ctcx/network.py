@@ -9,17 +9,39 @@ Gate activations: each step applies one expression, ``(1 - k) + k *
 tanh(k * z)``, to its whole 4H pre-activation ``z``, with ``k = 1/2`` on the
 input, forget and output blocks and ``k = 1`` on the cell block. Because
 ``sigmoid(z) = 1/2 + 1/2 tanh(z/2)``, that is the sigmoid on three blocks and
-tanh on the fourth, and it cannot overflow at any ``z``. A layer keeps its
-activations as one (T, n, B, 4H) array in the same [i, f, g, o] order, and
-backward turns it into the pre-activation gradient with one slope,
+tanh on the fourth, and it cannot overflow at any ``z``. k is a power of two,
+so scaling by it is exact and commutes with every product and sum: the input
+pre-activations and a per-call copy of the recurrent weight are scaled by k
+before the time loop, and a step takes the tanh of its sum directly. Backward
+turns the activations into the pre-activation gradient with one slope,
 ``(1 - a) * (a + 2k - 1)``.
 
 Batch layout: a minibatch runs time-major as (T_max, B, ·) arrays, each
 utterance front-aligned and zero-padded after its own T_b frames. A layer's
-directions are independent, so they share one time loop over (T_max, n, B,
-·) arrays with a direction axis of size n (1 for the LSTM, 2 for the
-BiLSTM): every step is one (n, B, H) @ (n, H, 4H) product and one set of
-gate and cell operations on (n, B, ·) rows, written into preallocated rows.
+directions are independent, so they share one time loop with a direction
+axis of size n (1 for the LSTM, 2 for the BiLSTM), and a step's operands are
+contiguous blocks, written in place:
+
+* forward keeps the activations as one (T, 4, n, B, H) array, so each of a
+  step's gate blocks [i, f, g, o] is a contiguous (n, B, H) block. At B > 1
+  the k-scaled recurrent weight is laid out once per call as (4, n, H, H)
+  blocks, so a step's product writes its four gate blocks. At B = 1
+  (``evaluate``, ``ctcx decode``) the product is a matrix-vector one, which a
+  laid-out copy would round differently for no gain, so there a step
+  multiplies by the transposed view and adds the (n, 1, 4H) result through a
+  block view;
+* backward keeps each direction's dz as (T, B, 4H) rows in [i, f, g, o]
+  order: a step's rows are one contiguous block per direction for the
+  product with ``w_recurrent``, and all T * B rows one block for the weight
+  gradients after the loop. Its per-step factors stay in the gates' layout,
+  so a step writes its dz into the rows through a block view.
+
+Where the matrix kernel rounds a laid-out weight's product as it rounds the
+view's (at H=16 for every B tried, at H=128 for B >= 3, and at B = 1 for
+every H tried), outputs are bit-identical to a per-direction loop over the
+view; at other shapes (a trailing batch of 2 at H=128, H=37) training may
+move in the last bits.
+
 The backward direction's input is each utterance reversed within its own
 length (``reverse_within``), which keeps the padding after the valid steps
 there too; its output is reversed back before the two are concatenated.
@@ -177,11 +199,14 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return params
 
 
+# k of the gate activation ``(1 - k) + k * tanh(k * z)`` on the blocks [i, f, g, o]:
+# sigmoid(z) = 1/2 + 1/2 tanh(z/2) on i, f and o, tanh(z) on the cell candidate g
+_GATE_K = (0.5, 0.5, 1.0, 0.5)
+
+
 def _gate_scales(h_dim: int) -> np.ndarray:
     """Per-column k of the gate activation ``(1 - k) + k * tanh(k * z)``."""
-    k = np.full(4 * h_dim, 0.5)  # sigmoid(z) = 1/2 + 1/2 tanh(z/2) on i, f, o
-    k[2 * h_dim : 3 * h_dim] = 1.0  # tanh(z) on the cell candidate g
-    return k
+    return np.repeat(_GATE_K, h_dim)
 
 
 def pad_batch(arrays) -> np.ndarray:
@@ -214,7 +239,7 @@ class _LayerCache:
     its own time order."""
 
     x: np.ndarray        # (n, T, B, D) input as seen by each direction
-    gates: np.ndarray    # (T, n, B, 4H) activations [i, f, g, o]
+    gates: np.ndarray    # (T, 4, n, B, H) activations, blocks [i, f, g, o]
     c: np.ndarray        # (T + 1, n, B, H) cell states; row 0 is the zero initial state
     tanh_c: np.ndarray   # (T, n, B, H) tanh of c[1:]
     h: np.ndarray        # (T + 1, n, B, H) hidden states; row 0 is the zero initial state
@@ -229,33 +254,46 @@ def _layer_forward(
     n_dir, t_len, n_batch, d_in = x.shape
     h_dim = w_recurrent.shape[2]
     k = _gate_scales(h_dim)
-    offset = 1.0 - k
-    # gates start as the input pre-activations; each step adds the recurrent part
+    # gates start as k times the input pre-activations; each step adds k times the
+    # recurrent part. k is 1/2 or 1, so scaling by it is exact and commutes with sums.
     z_in = np.matmul(x.reshape(n_dir, -1, d_in), w_input.transpose(0, 2, 1))
-    gates = np.empty((t_len, n_dir, n_batch, 4 * h_dim))
-    np.add(z_in.reshape(x.shape[:3] + (-1,)), bias[:, None, None], out=gates.transpose(1, 0, 2, 3))
-    w_rec_t = w_recurrent.transpose(0, 2, 1)
+    z_in += bias[:, None]
+    z_in *= k
+    gates = np.empty((t_len, 4, n_dir, n_batch, h_dim))
+    np.copyto(gates, z_in.reshape(n_dir, t_len, n_batch, 4, h_dim).transpose(1, 3, 0, 2, 4))
+    w_rec = w_recurrent * k[:, None]
+    if n_batch > 1:
+        # laid out once per call as (4, n, H, H): block j of direction d is
+        # k_j w_recurrent[d, jH:(j+1)H].T, so a step's product writes its gate blocks
+        w_rec = np.ascontiguousarray(w_rec.reshape(n_dir, 4, h_dim, h_dim).transpose(1, 0, 3, 2))
+        rec = rec_blocks = np.empty(gates.shape[1:])
+    else:
+        # a (1, H) row takes a matrix-vector product, which rounds as before only
+        # through the transposed view
+        w_rec = w_rec.transpose(0, 2, 1)
+        rec = np.empty((n_dir, 1, 4 * h_dim))
+        rec_blocks = rec.reshape(n_dir, 1, 4, h_dim).transpose(2, 0, 1, 3)
 
     c = np.zeros((t_len + 1, n_dir, n_batch, h_dim))
     tanh_c = np.empty((t_len, n_dir, n_batch, h_dim))
     h = np.zeros((t_len + 1, n_dir, n_batch, h_dim))
-    i, f, g, o = (gates[..., j * h_dim : (j + 1) * h_dim] for j in range(4))
+    # step-sized: at H=16 a broadcast row made each of these two ops 2.5 times slower
+    scale = np.broadcast_to(k.reshape(4, 1, 1, h_dim), gates.shape[1:]).copy()
+    offset = 1.0 - scale
     ig = np.empty((n_dir, n_batch, h_dim))
-    rec = np.empty((n_dir, n_batch, 4 * h_dim))
-    # every step writes into preallocated rows, so B=1 costs no more than a vector step
-    for t in range(t_len):
-        a = gates[t]
-        np.matmul(h[t], w_rec_t, out=rec)
-        a += rec
-        a *= k
+    # zip hands out each step's views for less than indexing them
+    steps = zip(gates, *gates.transpose(1, 0, 2, 3, 4), c[:-1], c[1:], tanh_c, h[:-1], h[1:])
+    for a, i, f, g, o, c_prev, c_t, tanh_c_t, h_prev, h_t in steps:
+        np.matmul(h_prev, w_rec, out=rec)
+        a += rec_blocks
         np.tanh(a, out=a)
-        a *= k
+        a *= scale
         a += offset
-        np.multiply(f[t], c[t], out=c[t + 1])
-        np.multiply(i[t], g[t], out=ig)
-        c[t + 1] += ig
-        np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(o[t], tanh_c[t], out=h[t + 1])
+        np.multiply(f, c_prev, out=c_t)
+        np.multiply(i, g, out=ig)
+        c_t += ig
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(o, tanh_c_t, out=h_t)
 
     return h[1:], _LayerCache(x, gates, c, tanh_c, h)
 
@@ -271,53 +309,46 @@ def _layer_backward(
     stacked like ``layer``; returns the (n, T, B, D) input gradients."""
     n_dir, t_len, n_batch, d_in = cache.x.shape
     h_dim = dh_out.shape[3]
-    blocks = (t_len, n_dir, n_batch, 4, h_dim)
-    gates, tanh_c = cache.gates, cache.tanh_c
-    i, f, g, o = (gates.reshape(blocks)[:, :, :, j] for j in range(4))
-    # The two per-step tables are built block by block in place and the loop
-    # writes dz over local: at H = 128 each table-sized temporary would take
-    # fresh memory pages on every call.
-    # dz_t = u_t * local_t with u_t = [dc, dc, dc, dh]: d c_t / d [i, f, g] and d h_t / d o,
-    # times the slope d gate / d z of (1 - k) + k tanh(k z), written in the activation a.
-    # local is indexed (n, T, B, 4H) but laid out like gates, so each step's dz is one block.
-    m = np.empty(blocks)
-    local = np.subtract(1.0, gates.transpose(1, 0, 2, 3))
-    slope_factor = m.reshape(gates.shape)  # m's memory, until m is filled below
-    np.add(gates, 2.0 * _gate_scales(h_dim) - 1.0, out=slope_factor)
-    local *= slope_factor.transpose(1, 0, 2, 3)
-    local4 = local.reshape(n_dir, t_len, n_batch, 4, h_dim)
-    for j, factor in enumerate((g, cache.c[:-1], i, tanh_c)):
-        local4[:, :, :, j] *= factor.transpose(1, 0, 2, 3)
-    # u_t = dh_t * m_t + v_{t+1} with m_t = [dc/dh, dc/dh, dc/dh, 1], and the
-    # carry v_t = [dc_t f_t, dc_t f_t, dc_t f_t, 0]: d c_{t-1}, and nothing into dh
-    dc_dh = m[:, :, :, 0]
-    np.square(tanh_c, out=dc_dh)
+    i, f, g, o = cache.gates.transpose(1, 0, 2, 3, 4)
+    # dz_t = local_t * u_t with u_t = [dc, dc, dc, dh]: local holds d c_t / d [i, f, g]
+    # and d h_t / d o times the slope d a / d z = (1 - a)(a + 2k - 1) of each gate,
+    # block by block in the gates' layout
+    local = np.empty(cache.gates.shape)
+    shifted = np.empty(f.shape)
+    factors = (g, cache.c[:-1], i, cache.tanh_c)
+    blocks = local.transpose(1, 0, 2, 3, 4)
+    for a, k, factor, block in zip((i, f, g, o), _GATE_K, factors, blocks):
+        np.subtract(1.0, a, out=block)
+        block *= np.add(a, 2.0 * k - 1.0, out=shifted)
+        block *= factor
+    # dc_t = dh_t dc_dh_t + dc_{t+1} f_{t+1}, where dc_dh_t = d c_t / d h_t = o_t (1 - tanh(c_t)^2)
+    dc_dh = np.square(cache.tanh_c)
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
-    m[:, :, :, 1:3] = dc_dh[:, :, :, None]
-    m[:, :, :, 3] = 1.0
 
     w_input, w_recurrent, _ = layer
-    dh = np.empty((n_dir, n_batch, 1, h_dim))
-    u = np.empty((n_dir, n_batch, 4, h_dim))
-    v = np.zeros((n_dir, n_batch, 4, h_dim))
+    # dz is kept as each direction's (T, B, 4H) rows, so a step's rows are one block per
+    # direction for the product with w_recurrent, and all T * B rows one block after the loop
+    dz = np.empty((n_dir, t_len, n_batch, 4 * h_dim))
+    dz_blocks = dz.reshape(n_dir, t_len, n_batch, 4, h_dim).transpose(1, 3, 0, 2, 4)
+    u = np.empty((4, n_dir, n_batch, h_dim))
+    dc, dh = u[0], u[3]
+    carry = np.zeros((n_dir, n_batch, h_dim))  # dc_{t+1} f_{t+1}
     dh_next = np.zeros((n_dir, n_batch, h_dim))
-    u_flat = u.reshape(n_dir, n_batch, 4 * h_dim)
-    dh_out4 = dh_out.reshape(t_len, n_dir, n_batch, 1, h_dim)
-    f4 = f[:, :, :, None]
-
-    for t in range(t_len - 1, -1, -1):
-        np.add(dh_out4[t], dh_next[:, :, None], out=dh)
-        np.multiply(dh, m[t], out=u)
-        u += v
-        dz = local[:, t]
-        dz *= u_flat
-        np.matmul(dz, w_recurrent, out=dh_next)
-        np.multiply(u[:, :, :3], f4[t], out=v[:, :, :3])
+    steps = zip(dh_out[::-1], dc_dh[::-1], f[::-1], local[::-1], dz_blocks[::-1],
+                dz.transpose(1, 0, 2, 3)[::-1])
+    for dh_out_t, dc_dh_t, f_t, local_t, dz_t, dz_rows in steps:
+        np.add(dh_out_t, dh_next, out=dh)
+        np.multiply(dh, dc_dh_t, out=dc)
+        dc += carry
+        np.multiply(dc, f_t, out=carry)
+        u[1:3] = dc
+        np.multiply(local_t, u, out=dz_t)
+        np.matmul(dz_rows, w_recurrent, out=dh_next)
 
     # one product over all T * B rows of a direction sums the batch
     g_input, g_recurrent, g_bias = grads
-    dz = local.reshape(n_dir, -1, 4 * h_dim)
+    dz = dz.reshape(n_dir, -1, 4 * h_dim)
     h_prev = cache.h[:-1].transpose(1, 0, 2, 3).reshape(n_dir, -1, h_dim)
     np.matmul(dz.transpose(0, 2, 1), cache.x.reshape(n_dir, -1, d_in), out=g_input)
     np.matmul(dz.transpose(0, 2, 1), h_prev, out=g_recurrent)

@@ -265,7 +265,9 @@ def train_epoch(
 
     for start in range(0, len(order), cfg.batch_size):
         batch = [data[i] for i in order[start : start + cfg.batch_size]]
-        seeds = [_dropout_seed(cfg, epoch, start + offset) for offset in range(len(batch))]
+        seeds = None  # forward_batch draws no masks at keep 1.0
+        if model_cfg.dropout_keep < 1.0:
+            seeds = [_dropout_seed(cfg, epoch, start + offset) for offset in range(len(batch))]
         logits, cache = forward_batch(params, model_cfg, [u.features for u in batch], seeds)
         log_probs = log_softmax(logits)
         log_p, dlogits, _, _ = ctc_forward_backward_batch(

@@ -210,7 +210,8 @@ def test_stacked_layer_equals_per_direction_oracle(bidirectional, hidden, length
             weights = direction(params, li, cfg, d)
             want_h, want = oracle_direction_forward(weights, xs[d])
             assert np.array_equal(h_dirs[:, d], want_h)
-            assert np.array_equal(cache.gates[:, d], want.gates)
+            gates = cache.gates[:, :, d].transpose(0, 2, 1, 3)  # (T, B, 4, H) as [i, f, g, o]
+            assert np.array_equal(gates.reshape(want.gates.shape), want.gates)
             assert np.array_equal(cache.c[:, d], want.c)
             assert np.array_equal(cache.tanh_c[:, d], want.tanh_c)
             want_grads = direction(zeros_like_params(params), li, cfg, d)
@@ -218,6 +219,49 @@ def test_stacked_layer_equals_per_direction_oracle(bidirectional, hidden, length
             assert np.array_equal(dx[d], want_dx)
             for got_g, want_g in zip(direction(grads, li, cfg, d), want_grads):
                 assert np.array_equal(got_g, want_g)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True], ids=["lstm", "bilstm"])
+def test_layer_loops_match_the_oracle_where_the_product_may_round_differently(bidirectional):
+    """At H=37, B=2 the laid-out recurrent weight's product may round differently
+    from the oracle's transposed view: agreement within GRAD_REL_TOL."""
+    rng = np.random.default_rng(37)
+    cfg = ModelConfig(feature_dim=5, num_classes=6, hidden=37, num_layers=1,
+                      bidirectional=bidirectional, seed=37)
+    params = init_params(cfg)
+    lengths = np.array([19, 12])
+    x = pad_batch([rng.standard_normal((t, 5)) for t in lengths])
+    xs = [x, _reversed(x, lengths)][: cfg.directions]
+    h_dirs, cache = _layer_forward(params.layer(0, cfg), np.stack(xs))
+    dh_out = rng.standard_normal(h_dirs.shape)
+    grads = zeros_like_params(params)
+    dx = _layer_backward(params.layer(0, cfg), grads.layer(0, cfg), cache, dh_out)
+    for d in range(cfg.directions):
+        weights = direction(params, 0, cfg, d)
+        want_h, want = oracle_direction_forward(weights, xs[d])
+        want_grads = direction(zeros_like_params(params), 0, cfg, d)
+        want_dx = oracle_direction_backward(weights, want_grads, want, dh_out[:, d])
+        pairs = [(h_dirs[:, d], want_h), (dx[d], want_dx)]
+        pairs += list(zip(direction(grads, 0, cfg, d), want_grads))
+        for got, ref in pairs:
+            assert np.abs(got - ref).max() <= GRAD_REL_TOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bidirectional", [False, True], ids=["lstm", "bilstm"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_layer_loops_leave_read_only_parameters_untouched(bidirectional, batch):
+    """The k-scaled recurrent weight is a copy: forward and backward run on a
+    read-only parameter vector and leave it byte-identical."""
+    rng = np.random.default_rng(batch)
+    cfg = model_cfg(bidirectional)
+    params = init_params(cfg)
+    before = params.vector.tobytes()
+    params.vector.flags.writeable = False
+    feats, labels = ragged_batch(rng, (9, 14, 6)[:batch], cfg.num_classes)
+    logits, cache = forward_batch(params, cfg, feats, None)
+    _, dlogits, _, _ = ctc_forward_backward_batch(log_softmax(logits), cache.lengths, labels)
+    backward_batch(params, cache, dlogits)
+    assert params.vector.tobytes() == before
 
 
 def test_reverse_within_is_its_own_inverse():

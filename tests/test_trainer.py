@@ -25,6 +25,7 @@ from ctcx import (
     write_corpus,
     write_feature_cache,
 )
+from ctcx import trainer
 from ctcx.network import ModelParams, zeros_like_params
 from ctcx.trainer import (
     METRICS_HEADER,
@@ -282,6 +283,25 @@ class TestTrainEpoch:
         params = init_params(cfg)
         with pytest.raises(ValueError, match="empty"):
             train_epoch(params, cfg, [], TrainConfig(), OptimizerState(zeros_like_params(params)), 1)
+
+    @pytest.mark.parametrize("keep", [1.0, 0.8])
+    def test_dropout_seeds_drawn_only_when_dropout_is_on(self, toy, monkeypatch, keep):
+        def no_seed(*args):
+            raise AssertionError("dropout seed drawn")
+
+        monkeypatch.setattr(trainer, "_dropout_seed", no_seed)
+        cfg = toy_model_cfg(toy, dropout_keep=keep)
+        params = init_params(cfg)
+        state = OptimizerState(zeros_like_params(params))
+
+        def epoch():
+            train_epoch(params, cfg, self.data(toy), TrainConfig(dropout_keep=keep), state, 1)
+
+        if keep == 1.0:
+            epoch()
+        else:
+            with pytest.raises(AssertionError, match="dropout seed drawn"):
+                epoch()
 
 
 class TestEvaluate:
