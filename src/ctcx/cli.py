@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -122,16 +123,31 @@ def _alphabet_arg(spec: str) -> Alphabet:
     return load_alphabet(path)
 
 
+def _finite(doc):
+    """``doc`` with each NaN and infinity replaced by None (JSON null): JSON has no such numbers."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(value) for value in doc]
+    return doc
+
+
+def _write_json(doc: dict, path=None) -> None:
+    """Write ``doc`` as indented UTF-8 JSON and a final newline, to ``path`` or else stdout."""
+    text = json.dumps(_finite(doc), ensure_ascii=False, indent=2, allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        write_atomic(path, text.encode("utf-8"))
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
+        _write_json(payload)
     elif human:
         print(human)
-
-
-def _json_bytes(doc: dict) -> bytes:
-    """A report file: indented UTF-8 JSON and a final newline."""
-    return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 
 def _workers() -> int:
@@ -367,7 +383,7 @@ def cmd_train(args) -> int:
         "metrics": str(metrics_path),
         "train_utterances": len(train_set),
         "val_utterances": len(val_set),
-        "final": final.to_dict(),
+        "final": asdict(final),
     }
     human = (
         f"trained {args.arch} ({args.init} init) for {cfg.epochs} epochs\n"
@@ -406,10 +422,10 @@ def cmd_transfer(args) -> int:
         "source": str(args.source),
         "target_alphabet": target_alphabet.name,
         "out": str(args.out),
-        "report": report.to_dict(),
-        "verify": verify.to_dict(),
+        "report": asdict(report),
+        "verify": asdict(verify),
     }
-    write_atomic(report_path, _json_bytes(report_doc))
+    _write_json(report_doc, report_path)
 
     human = (
         f"copied {len(report.copied)} recurrent tensors, "
@@ -484,12 +500,13 @@ def cmd_experiment(args) -> int:
     )
 
     summary_path = out_dir / "summary.json"
-    write_atomic(summary_path, _json_bytes(result.to_dict()))
+    summary = asdict(result)
+    _write_json(summary, summary_path)
 
     lines = [" | ".join(EXPERIMENT_COLUMNS)]
     for s in result.scenarios:
         values = map(repr, s.final.metrics().values())
-        lines.append(" | ".join([s.name, *values, str(s.final.epoch)]))
+        lines.append(" | ".join([s.name, *values, str(s.epochs)]))
     # the table's metric columns are in MetricsRow order, as are the improvements
     labels = [column[0].lower() + column[1:] for column in EXPERIMENT_COLUMNS[1:-1]]
     for arch, imp in result.improvements_percent.items():
@@ -498,9 +515,7 @@ def cmd_experiment(args) -> int:
     for w in result.warnings:
         lines.append(f"warning: {w}")
 
-    payload = result.to_dict()
-    payload["columns"] = list(EXPERIMENT_COLUMNS)
-    payload["summary"] = str(summary_path)
+    payload = {**summary, "columns": list(EXPERIMENT_COLUMNS), "summary": str(summary_path)}
     _emit(args, payload, "\n".join(lines))
     if not args.json:
         print(f"summary: {summary_path}", file=sys.stderr)
@@ -521,9 +536,10 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--dropout-keep", type=float, default=defaults.dropout_keep)
     p.add_argument("--split", type=_split_arg, default=defaults.split,
                    help=f"train,val,test fractions (default {','.join(map(str, defaults.split))})")
-    p.add_argument("--grad-clip-norm", type=float, default=defaults.grad_clip_norm)
-    p.add_argument("--strict-paper", action="store_true",
-                   help="disable gradient clipping; train with the bare defaults")
+    clipping = p.add_mutually_exclusive_group()
+    clipping.add_argument("--grad-clip-norm", type=float, default=defaults.grad_clip_norm)
+    clipping.add_argument("--strict-paper", action="store_true",
+                          help="disable gradient clipping; train with the bare defaults")
     p.add_argument("--seed", type=_seed_arg, default=defaults.seed)
     p.add_argument("--eval-decoder", choices=DECODERS, default=defaults.eval_decoder)
     p.add_argument("--beam-width", type=_positive_int, default=defaults.beam_width)

@@ -105,9 +105,6 @@ class MetricsRow:
         epoch, *values = astuple(self)
         return ",".join([str(epoch)] + [repr(float(v)) for v in values])
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def metrics(self) -> dict[str, float]:
         """Every column but ``epoch``, by name."""
         return {name: value for name, value in asdict(self).items() if name != "epoch"}
@@ -377,37 +374,22 @@ def train(
 
 @dataclass
 class ScenarioResult:
+    """One trained scenario; ``asdict`` of it is its ``summary.json`` entry."""
+
     name: str
     arch: str
     init: str
-    rows: list[MetricsRow]
-
-    @property
-    def final(self) -> MetricsRow:
-        return self.rows[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "arch": self.arch,
-            "init": self.init,
-            "epochs": self.final.epoch,
-            "final": self.final.to_dict(),
-        }
+    epochs: int
+    final: MetricsRow
 
 
 @dataclass
 class ExperimentResult:
+    """The matrix; ``asdict`` of it is ``summary.json``."""
+
     scenarios: list[ScenarioResult]
     improvements_percent: dict[str, dict[str, float]]
     warnings: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenarios": [s.to_dict() for s in self.scenarios],
-            "improvements_percent": self.improvements_percent,
-            "warnings": self.warnings,
-        }
 
 
 def _improvement_percent(baseline: float, transfer: float) -> float:
@@ -433,49 +415,32 @@ def run_experiment_matrix(
     """
     source_checkpoints = source_checkpoints or {}
     train_set, val_set, _ = split_dataset(utterances, cfg.split, cfg.seed)
-    scenarios: list[ScenarioResult] = []
-    warnings: list[str] = []
-    finals: dict[tuple[str, str], MetricsRow] = {}
-
     feature_dim = utterances[0].features.shape[1]
-    model_cfgs = {arch: arch_config(arch, feature_dim, alphabet, hidden) for arch in ARCH_NAMES}
     # every source is transferred before the first run, so a misfit fails fast
-    transferred = {
-        arch: transfer_weights(source_checkpoints[arch], model_cfg, alphabet, cfg.seed)[0]
-        for arch, model_cfg in model_cfgs.items() if arch in source_checkpoints
-    }
-    for arch, model_cfg in model_cfgs.items():
-        for init in ("random", "transfer"):
-            if init == "transfer":
-                if arch not in transferred:
-                    warnings.append(
-                        f"no source checkpoint for {ARCH_NAMES[arch]}; transfer row skipped"
-                    )
-                    continue
-                params = transferred[arch]
-                name = f"{ARCH_NAMES[arch]} with {source_checkpoints[arch].alphabet_name} model"
-            else:
-                params = None
-                name = ARCH_NAMES[arch]
-            metrics_path = (
-                Path(metrics_dir) / f"{arch}-{init}.csv" if metrics_dir is not None else None
-            )
-            logger.info("training scenario: %s", name)
-            _, rows = train(
-                train_set, val_set, alphabet, model_cfg, cfg, params, metrics_path
-            )
-            scenarios.append(ScenarioResult(name, arch, init, rows))
-            finals[(arch, init)] = rows[-1]
-
-    improvements: dict[str, dict[str, float]] = {}
-    for arch in ARCH_NAMES:
-        base = finals.get((arch, "random"))
-        tran = finals.get((arch, "transfer"))
-        if base is None or tran is None:
+    runs = []  # (name, arch, init, model config, initial params)
+    warnings: list[str] = []
+    for arch, label in ARCH_NAMES.items():
+        model_cfg = arch_config(arch, feature_dim, alphabet, hidden)
+        runs.append((label, arch, "random", model_cfg, None))
+        source = source_checkpoints.get(arch)
+        if source is None:
+            warnings.append(f"no source checkpoint for {label}; transfer row skipped")
             continue
-        tran_metrics = tran.metrics()
-        improvements[arch] = {
-            name: _improvement_percent(value, tran_metrics[name])
-            for name, value in base.metrics().items()
-        }
+        params = transfer_weights(source, model_cfg, alphabet, cfg.seed)[0]
+        name = f"{label} with {source.alphabet_name} model"
+        runs.append((name, arch, "transfer", model_cfg, params))
+
+    scenarios: list[ScenarioResult] = []
+    for name, arch, init, model_cfg, params in runs:
+        metrics_path = Path(metrics_dir) / f"{arch}-{init}.csv" if metrics_dir is not None else None
+        logger.info("training scenario: %s", name)
+        final = train(train_set, val_set, alphabet, model_cfg, cfg, params, metrics_path)[1][-1]
+        scenarios.append(ScenarioResult(name, arch, init, final.epoch, final))
+
+    finals = {(s.arch, s.init): s.final.metrics() for s in scenarios}
+    improvements = {
+        arch: {name: _improvement_percent(value, finals[arch, "transfer"][name])
+               for name, value in finals[arch, "random"].items()}
+        for arch in ARCH_NAMES if (arch, "transfer") in finals
+    }
     return ExperimentResult(scenarios, improvements, warnings)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -218,9 +218,6 @@ class TransferReport:
     reinitialized: tuple[str, ...]
     skipped_reason: dict[str, str]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def transfer_weights(
     source: Checkpoint,
@@ -262,12 +259,11 @@ def transfer_weights(
 
 @dataclass
 class VerifyReport:
+    """What a passing ``verify_transfer`` saw: no deviation and no diverging layer."""
+
     max_abs_deviation: float
     first_divergence: str | None
     ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_transfer(
@@ -279,27 +275,26 @@ def verify_transfer(
     """Check that both recurrent stacks produce identical hidden outputs.
 
     ``cfg`` describes the shared recurrent geometry (the dense heads may
-    differ). Any nonzero deviation raises TransferVerificationError naming
-    the first layer that differs.
+    differ). A probe holding a NaN or an infinity raises ValueError, since
+    it would make every output differ from itself; any other difference
+    raises TransferVerificationError naming the first layer that differs.
     """
-    probes = [probe_features] if isinstance(probe_features, np.ndarray) else list(probe_features)
+    if isinstance(probe_features, np.ndarray):
+        probe_features = [probe_features]
+    probes = [np.asarray(probe, dtype=np.float64) for probe in probe_features]
+    for index, probe in enumerate(probes):
+        if not np.isfinite(probe).all():
+            raise ValueError(f"probe {index} holds non-finite values")
     # class counts may differ between the two heads; each model runs its own
     src_cfg = replace(cfg, num_classes=source_params.dense_b.shape[0])
     tgt_cfg = replace(cfg, num_classes=transferred_params.dense_b.shape[0])
-    max_dev = 0.0
-    first = None
     for probe in probes:
-        batch = [np.asarray(probe, dtype=np.float64)]
-        src_out = forward_batch(source_params, src_cfg, batch)[1].outputs
-        tgt_out = forward_batch(transferred_params, tgt_cfg, batch)[1].outputs
+        src_out = forward_batch(source_params, src_cfg, [probe])[1].outputs
+        tgt_out = forward_batch(transferred_params, tgt_cfg, [probe])[1].outputs
         for li, (a, b) in enumerate(zip(src_out, tgt_out)):
-            dev = float(np.max(np.abs(a - b)))
-            if dev > 0.0 and first is None:
-                first = f"layer{li + 1}"
-            max_dev = max(max_dev, dev)
-    ok = max_dev == 0.0
-    if not ok:
-        raise TransferVerificationError(
-            f"hidden outputs diverge at {first}: max abs deviation {max_dev:g}"
-        )
-    return VerifyReport(max_dev, first, ok)
+            if not np.array_equal(a, b):
+                raise TransferVerificationError(
+                    f"hidden outputs diverge at layer{li + 1}: "
+                    f"max abs deviation {float(np.max(np.abs(a - b))):g}"
+                )
+    return VerifyReport(0.0, None, True)

@@ -1,9 +1,10 @@
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from ctcx import (
     AudioClip,
     FeatureConfig,
     ManifestRow,
+    MetricsRow,
     ModelConfig,
     SynthConfig,
     TrainConfig,
@@ -64,6 +66,13 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN or Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def toy_checkpoint(path, bidirectional=False, hidden=4, feature_dim=13, seed=0):
@@ -211,6 +220,27 @@ class TestParserBasics:
         args = parser.parse_args(["prepare", "--alphabet", "kk", "--out", "o"])
         assert (args.noise_scale, args.proto_seed) == (SynthConfig().noise_scale,
                                                        SynthConfig().proto_seed)
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("flags", [["--strict-paper", "--grad-clip-norm", "3"],
+                                       ["--grad-clip-norm", "3", "--strict-paper"]])
+    def test_strict_paper_excludes_grad_clip_norm(self, tmp_path, toy_env, capsys, command,
+                                                  flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", toy_env["manifest"], "--alphabet", toy_env["alphabet"],
+                  "--out", str(tmp_path / "run"), "--epochs", "1", "--hidden", "2", *flags])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_json_writes_undefined_numbers_as_null(self, tmp_path, capsys):
+        doc = {"a": [1.5, math.inf, (-math.inf, math.nan)], "b": {"c": np.float64("nan")}}
+        expected = ('{\n  "a": [\n    1.5,\n    null,\n    [\n      null,\n      null\n'
+                    '    ]\n  ],\n  "b": {\n    "c": null\n  }\n}\n')
+        cli._write_json(doc, tmp_path / "doc.json")
+        cli._write_json(doc)
+        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected
+        assert capsys.readouterr().out == expected
 
     def test_console_script_is_installed(self):
         exe = shutil.which("ctcx")
@@ -621,6 +651,13 @@ class TestTrain:
         assert payload["train_utterances"] == 12
         assert payload["val_utterances"] == 0
 
+    def test_no_split_val_metrics_are_json_null(self, tmp_path, toy_env, capsys):
+        out = tmp_path / "full"
+        assert main(train_argv(toy_env, out, "--no-split", "--json")) == 0
+        final = strict_json(capsys.readouterr().out)["final"]
+        assert final["val_cost"] is None and final["val_ler"] is None
+        assert (out / "metrics.csv").read_text().splitlines()[-1].endswith(",nan,nan")
+
     def test_transfer_init_from_matching_checkpoint(self, tmp_path, toy_env, capsys):
         src = tmp_path / "src.ckpt"
         toy_checkpoint(src, hidden=4)
@@ -924,6 +961,38 @@ class TestExperimentCommand:
         ))
         assert code == 2
         assert "two source checkpoints" in capsys.readouterr().err
+
+    def test_summary_record_layout(self, tmp_path, toy_env, capsys):
+        src = tmp_path / "lstm.ckpt"
+        toy_checkpoint(src)
+        out = tmp_path / "exp"
+        assert main(experiment_argv(toy_env, out, "--source-checkpoint", str(src), "--json")) == 0
+        payload = strict_json(capsys.readouterr().out)
+        summary = strict_json((out / "summary.json").read_text(encoding="utf-8"))
+        assert list(summary) == ["scenarios", "improvements_percent", "warnings"]
+        assert list(payload) == [*summary, "columns", "summary"]
+        assert {key: payload[key] for key in summary} == summary
+        metric_names = [f.name for f in fields(MetricsRow)]
+        for entry in summary["scenarios"]:
+            assert list(entry) == ["name", "arch", "init", "epochs", "final"]
+            assert list(entry["final"]) == metric_names
+            assert entry["epochs"] == entry["final"]["epoch"] == 2
+        assert [(s["arch"], s["init"]) for s in summary["scenarios"]] == [
+            ("lstm", "random"), ("lstm", "transfer"), ("bilstm", "random"),
+        ]
+        assert list(summary["improvements_percent"]) == ["lstm"]
+        assert list(summary["improvements_percent"]["lstm"]) == metric_names[1:]
+
+    def test_no_validation_set_writes_null_not_nan(self, tmp_path, toy_env, capsys):
+        src = tmp_path / "lstm.ckpt"
+        toy_checkpoint(src)
+        out = tmp_path / "exp"
+        argv = experiment_argv(toy_env, out, "--split", "1,0,0", "--source-checkpoint", str(src))
+        assert main([*argv, "--json"]) == 0
+        for text in (capsys.readouterr().out, (out / "summary.json").read_text(encoding="utf-8")):
+            doc = strict_json(text)
+            assert all(s["final"]["val_cost"] is None for s in doc["scenarios"])
+            assert doc["improvements_percent"]["lstm"]["val_ler"] is None
 
 
 @pytest.mark.parametrize("argv", [train_argv, experiment_argv], ids=["train", "experiment"])

@@ -497,4 +497,4 @@ class TestExperimentMatrix:
         # seeds the two LSTM rows across two calls match exactly
         r1 = run_experiment_matrix(self.corpus(toy), toy, self.tc(), hidden=4)
         r2 = run_experiment_matrix(self.corpus(toy), toy, self.tc(), hidden=4)
-        assert r1.scenarios[0].rows[-1].to_dict() == r2.scenarios[0].rows[-1].to_dict()
+        assert r1.scenarios[0].final == r2.scenarios[0].final

@@ -404,6 +404,19 @@ class TestVerifyTransfer:
         with pytest.raises(TransferVerificationError, match="layer2"):
             verify_transfer(src, moved, cfg, probes)
 
+    def test_non_finite_probe_is_refused(self, rng):
+        # a NaN reaches every output, so no deviation compares greater than zero
+        cfg = small_cfg()
+        models = [init_params(replace(cfg, seed=seed)) for seed in (0, 1)]
+        probes = [rng.standard_normal((7, cfg.feature_dim)) for _ in range(2)]
+        for value in (np.nan, np.inf):
+            probes[1][3, 2] = value
+            with pytest.raises(ValueError, match="probe 1 holds non-finite values"):
+                verify_transfer(*models, cfg, probes)
+        probes[1][3, 2] = 0.0
+        with pytest.raises(TransferVerificationError, match="layer1"):
+            verify_transfer(*models, cfg, probes)
+
     def test_differing_dense_heads_are_ignored(self, ru, kk, rng):
         # the two models disagree on num_classes; only the stacks are compared
         src, moved, cfg = self.build(ru, kk)
