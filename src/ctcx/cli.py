@@ -11,9 +11,7 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from functools import cache
 from pathlib import Path
@@ -143,23 +141,22 @@ def _write_json(doc: dict, path=None) -> None:
         write_atomic(path, text.encode("utf-8"))
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is then: each ``main`` call logs to its own."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)  # no stream of its own
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         _write_json(payload)
     elif human:
         print(human)
-
-
-def _workers() -> int:
-    env = os.environ.get("CTCX_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DataError(f"CTCX_THREADS={env!r} is not an integer") from None
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return min(8, len(os.sched_getaffinity(0)))
-    return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +267,9 @@ def cmd_features(args) -> int:
         values, _ = wav_features(src, cfg)
         write_feature_cache(values, cache)
 
-    outcomes = []
-    if jobs:
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            outcomes = list(pool.map(lambda j: _try(extract, j), jobs))
+    # one file at a time, in this thread: each MFCC's matrix products already
+    # run on BLAS threads, and extraction threads on top oversubscribe the CPUs
+    outcomes = [_try(extract, job) for job in jobs]
     failures += [{"audio": str(src), "error": e} for (src, _), e in zip(jobs, outcomes) if e]
 
     out_manifest = args.out_manifest or str(out_dir / "manifest.jsonl")
@@ -624,9 +620,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
+    logging.basicConfig(level=logging.INFO, handlers=[_StderrHandler()],
+                        format="%(levelname)s %(name)s: %(message)s")
 
     if getattr(args, "init", None) and (args.init == "transfer") != bool(args.source_checkpoint):
         parser.error("--init transfer and --source-checkpoint go together")

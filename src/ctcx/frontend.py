@@ -215,6 +215,7 @@ class _ResamplePlan(NamedTuple):
 
 
 _resample_plans: dict[tuple[int, int], _ResamplePlan] = {}
+# ctcx itself starts no threads; the lock serves callers whose threads share the memo
 _resample_plans_lock = threading.Lock()
 
 
@@ -300,7 +301,8 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     the training limit, and while the kept plans fit ``_RESAMPLE_MEMO_BYTES``
     together, dropping the oldest first; a longer clip builds its own plan
     and drops it. Kept tables are read-only, and a plan is only replaced by
-    a longer one, so threads may share them.
+    a longer one under a lock, so a caller's threads may share them (ctcx
+    itself starts none).
 
     The kernel rows are the same elementwise floats the per-sample kernel
     had, the taps are the same source values, and the reduction is the same

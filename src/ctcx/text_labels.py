@@ -128,17 +128,17 @@ def overlap_ratio(source: Alphabet, target: Alphabet) -> float:
     return len(source.letters & target_letters) / len(target_letters)
 
 
-def load_alphabet(path, name: str | None = None) -> Alphabet:
+def load_alphabet(path) -> Alphabet:
     """Read an alphabet file: one symbol per line, space escaped as ``<sp>``.
 
-    A file that is not UTF-8 or not a valid alphabet raises ValueError
-    naming ``path``.
+    The alphabet is named after the file's stem. A file that is not UTF-8 or
+    not a valid alphabet raises ValueError naming ``path``.
     """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
         symbols = tuple(" " if line == SPACE_ESCAPE else line for line in lines if line)
-        return Alphabet(name if name is not None else path.stem, symbols)
+        return Alphabet(path.stem, symbols)
     except ValueError as e:  # UnicodeDecodeError is one
         raise ValueError(f"{path}: {e}") from None
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from ctcx import (
     write_manifest,
 )
 from ctcx import cli
-from ctcx.cli import _train_config_from_args, _workers, build_parser, main
+from ctcx.cli import _train_config_from_args, build_parser, main
 from ctcx.frontend import wav_features
 from oracles import oracle_beam_search, oracle_resample
 
@@ -94,6 +95,12 @@ def toy_log_probs(ckpt_path, features):
 def sine_wav(path, seconds=0.5, rate=16000):
     t = np.arange(int(seconds * rate)) / rate
     save_wav(AudioClip(0.3 * np.sin(2 * np.pi * 440.0 * t), rate), path)
+
+
+def python_env():
+    """The environment for a child Python that imports this checkout's ctcx."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 class TestParserBasics:
@@ -159,11 +166,9 @@ class TestParserBasics:
             ["evaluate", "--checkpoint", str(ckpt), "--manifest", toy_env["manifest"], "--json"],
             ["evaluate", "--checkpoint", str(ckpt)],
         ]
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         fresh = []
         for argv in argvs:
-            proc = subprocess.run([sys.executable, "-m", "ctcx.cli", *argv], env=env,
+            proc = subprocess.run([sys.executable, "-m", "ctcx.cli", *argv], env=python_env(),
                                   capture_output=True, text=True, timeout=120)
             fresh.append((proc.returncode, proc.stdout, proc.stderr))
         ours = []
@@ -176,6 +181,28 @@ class TestParserBasics:
             ours.append((code, captured.out, captured.err))
         assert [code for code, _, _ in fresh] == [0, 1, 0, 1]
         assert ours == fresh
+
+    def test_each_call_logs_to_the_stderr_it_is_given(self, tmp_path):
+        # a fresh process: pytest's own root handlers make basicConfig a no-op here
+        ckpt = tmp_path / "m.ckpt"
+        toy_checkpoint(ckpt)
+        wav = tmp_path / "in.wav"
+        sine_wav(wav, rate=22050)
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from ctcx.cli import main\n"
+            "errs = []\n"
+            "for _ in range(3):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        main(['decode', '--checkpoint', sys.argv[1], '--wav', sys.argv[2]])\n"
+            "    errs.append(err.getvalue())\n"
+            "print(json.dumps(errs))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(ckpt), str(wav)],
+                              env=python_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == [f"INFO ctcx: resampled {wav} to 16000 Hz\n"] * 3
 
     def test_command_replaced_after_the_first_call_is_the_one_run(self, capsys, monkeypatch):
         # a tracer wraps cmd_* on the module after the one parser may exist
@@ -527,24 +554,34 @@ class TestFeatures:
         assert code == 2
         assert f"ctcx: failed {bad}: " in err and f"Error: {bad}: {problem}" in err
 
-    def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
-        monkeypatch.delenv("CTCX_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _workers() == 1
-        monkeypatch.setenv("CTCX_THREADS", "3")
-        assert _workers() == 3
-        monkeypatch.delenv("CTCX_THREADS")
-        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
-        assert _workers() == 4
+    def test_extracts_in_the_calling_thread_in_manifest_order(self, tmp_path, capsys,
+                                                              monkeypatch):
+        threads = []
 
-    def test_thread_env_must_be_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CTCX_THREADS", "many")
-        manifest = self.build_wav_manifest(tmp_path, n=1)
-        code = main(["features", "--manifest", str(manifest),
-                     "--out-dir", str(tmp_path / "feat")])
+        def recorded(path, cfg):
+            threads.append(threading.current_thread())
+            return wav_features(path, cfg)
+
+        monkeypatch.setattr(cli, "wav_features", recorded)
+        rows = []
+        for i in range(6):
+            path = tmp_path / f"utt{i}.wav"
+            if i % 2:
+                path.write_text("this is not audio")
+            else:
+                sine_wav(path)
+            rows.append(ManifestRow(str(path), "аб"))
+        write_manifest(rows[::-1], tmp_path / "m.jsonl")  # not in file-name order
+        code = main(["features", "--manifest", str(tmp_path / "m.jsonl"),
+                     "--out-dir", str(tmp_path / "feat"), "--json"])
+        out, err = capsys.readouterr()
         assert code == 2
-        assert "CTCX_THREADS" in capsys.readouterr().err
+        assert threads == [threading.current_thread()] * 6
+        bad = [str(tmp_path / f"utt{i}.wav") for i in (5, 3, 1)]  # manifest order
+        payload = json.loads(out)
+        assert payload["written"] == 3
+        assert [f["audio"] for f in payload["failed"]] == bad
+        assert [line.split(": ")[1] for line in err.splitlines()] == [f"failed {p}" for p in bad]
 
     def test_out_manifest_parent_is_created(self, tmp_path, capsys):
         manifest = self.build_wav_manifest(tmp_path, n=1)

@@ -134,11 +134,6 @@ class TestAlphabetFiles:
         assert loaded.name == "kk"
         assert "<sp>" in path.read_text(encoding="utf-8")
 
-    def test_explicit_name_overrides_stem(self, ru, tmp_path):
-        path = tmp_path / "letters.alphabet"
-        save_alphabet(ru, path)
-        assert load_alphabet(path, name="custom").name == "custom"
-
     @pytest.mark.parametrize("content", [b"\xd0\xb0\n\xff\n<sp>\n", "ab\n<sp>\n".encode(),
                                          "а\nа\n<sp>\n".encode(), "а\n".encode()])
     def test_bad_file_raises_value_error_naming_it(self, tmp_path, content):
