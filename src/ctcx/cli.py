@@ -177,6 +177,8 @@ def _frame_count_for_row(row: ManifestRow, cfg: FeatureConfig) -> tuple[int, flo
 
 
 def cmd_prepare(args) -> int:
+    if args.feature_dir and args.synthetic is None:
+        raise UsageError("--feature-dir is only for --synthetic")
     alphabet = _alphabet_arg(args.alphabet)
     cfg = FeatureConfig()
 
@@ -238,52 +240,49 @@ def cmd_features(args) -> int:
     cfg = FeatureConfig()
     rows = read_manifest(args.manifest)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # every feature file the output manifest names -> (its path, the one file
+    # it comes from): a cache row names itself, a WAV its cache in out_dir
+    table = {}
     out_rows = []
-    skipped = 0
-    failures = []
-    sources = {}  # cache path -> the WAV it is extracted from
     for row in rows:
         src = Path(row.audio)
-        if src.suffix == ".mfcc":
-            out_rows.append(row)
-            if error := _try(read_feature_cache, src):
-                failures.append({"audio": str(src), "error": error})
-            else:
-                skipped += 1
-            continue
-        cache = out_dir / (src.stem + ".mfcc")
-        other = sources.setdefault(cache, src)
+        cache = src if src.suffix == ".mfcc" else out_dir / (src.stem + ".mfcc")
+        _, other = table.setdefault(cache.resolve(), (cache, src))
         if other.resolve() != src.resolve():
             raise DataError(f"{other} and {src} would both be cached as {cache}")
-        out_rows.append(ManifestRow(str(cache), row.text, row.duration_s))
-    # one job per cache file, so a WAV listed twice is extracted once
-    jobs = [(src, cache) for cache, src in sources.items() if not _cache_is_fresh(cache, src)]
-    skipped += len(sources) - len(jobs)
+        out_rows.append(row if cache == src else replace(row, audio=str(cache)))
 
-    def extract(job):
-        src, cache = job
-        values, _ = wav_features(src, cfg)
-        write_feature_cache(values, cache)
-
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = skipped = 0
+    failures = []
     # one file at a time, in this thread: each MFCC's matrix products already
     # run on BLAS threads, and extraction threads on top oversubscribe the CPUs
-    outcomes = [_try(extract, job) for job in jobs]
-    failures += [{"audio": str(src), "error": e} for (src, _), e in zip(jobs, outcomes) if e]
+    for cache, src in table.values():
+        try:
+            if cache == src:
+                read_feature_cache(cache)
+                skipped += 1
+            elif _cache_is_fresh(cache, src):
+                skipped += 1
+            else:
+                values, _ = wav_features(src, cfg)
+                write_feature_cache(values, cache)
+                written += 1
+        except Exception as e:  # collected per file, reported in bulk
+            failures.append({"audio": str(src), "error": f"{type(e).__name__}: {e}"})
 
     out_manifest = args.out_manifest or str(out_dir / "manifest.jsonl")
     Path(out_manifest).parent.mkdir(parents=True, exist_ok=True)
     write_manifest(out_rows, out_manifest)
 
     payload = {
-        "written": outcomes.count(None),
+        "written": written,
         "skipped": skipped,
         "failed": failures,
         "manifest": out_manifest,
     }
-    human = [f"wrote {payload['written']} feature files, skipped {skipped} cached"]
-    _emit(args, payload, "\n".join(human))
+    _emit(args, payload, f"wrote {written} feature files, skipped {skipped} cached")
     if failures:
         for f in failures:
             print(f"ctcx: failed {f['audio']}: {f['error']}", file=sys.stderr)
@@ -298,14 +297,6 @@ def _cache_is_fresh(cache: Path, src: Path) -> bool:
         return cache.stat().st_mtime >= src.stat().st_mtime
     except (OSError, ValueError):  # missing or unreadable: extract again
         return False
-
-
-def _try(fn, arg) -> str | None:
-    try:
-        fn(arg)
-        return None
-    except Exception as e:  # collected per file, reported in bulk
-        return f"{type(e).__name__}: {e}"
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +322,6 @@ def _load_utterances(manifest_path, alphabet: Alphabet):
     utterances, dropped = load_dataset(rows, alphabet)
     if not utterances:
         raise DataError(f"{manifest_path}: no loadable utterances ({len(dropped)} dropped)")
-    lost = {row for row, _ in dropped}
-    kept_rows = [row for row in rows if row not in lost]
-    dim = utterances[0].features.shape[1]
-    for row, utt in zip(kept_rows, utterances):
-        if utt.features.shape[1] != dim:
-            raise DataError(f"{row.audio}: feature dim {utt.features.shape[1]}, "
-                            f"but {kept_rows[0].audio} has {dim}")
     return utterances
 
 
@@ -523,15 +507,18 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_train_flags(p: _Parser) -> None:
+def _add_train_flags(p: _Parser):
+    """Add the ``TrainConfig`` flags and ``--hidden``; returns the group that holds ``--split``."""
     defaults = TrainConfig()
     p.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
     p.add_argument("--momentum", type=float, default=defaults.momentum)
     p.add_argument("--batch-size", type=_positive_int, default=defaults.batch_size)
     p.add_argument("--epochs", type=_positive_int, default=defaults.epochs)
     p.add_argument("--dropout-keep", type=float, default=defaults.dropout_keep)
-    p.add_argument("--split", type=_split_arg, default=defaults.split,
-                   help=f"train,val,test fractions (default {','.join(map(str, defaults.split))})")
+    splitting = p.add_mutually_exclusive_group()
+    splitting.add_argument("--split", type=_split_arg, default=defaults.split,
+                           help="train,val,test fractions "
+                                f"(default {','.join(map(str, defaults.split))})")
     clipping = p.add_mutually_exclusive_group()
     clipping.add_argument("--grad-clip-norm", type=float, default=defaults.grad_clip_norm)
     clipping.add_argument("--strict-paper", action="store_true",
@@ -540,6 +527,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--eval-decoder", choices=DECODERS, default=defaults.eval_decoder)
     p.add_argument("--beam-width", type=_positive_int, default=defaults.beam_width)
     p.add_argument("--hidden", type=_positive_int, default=ModelConfig.hidden)
+    return splitting
 
 
 @cache
@@ -582,9 +570,8 @@ def build_parser() -> _Parser:
     p.add_argument("--init", choices=("random", "transfer"), default="random")
     p.add_argument("--source-checkpoint", help="required with --init transfer, refused without")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--no-split", action="store_true",
-                   help="train on every utterance; no validation split")
-    _add_train_flags(p)
+    _add_train_flags(p).add_argument("--no-split", action="store_true",
+                                     help="train on every utterance; no validation split")
 
     p = add("transfer", "copy recurrent weights to a new alphabet")
     p.add_argument("--source", required=True, help="source checkpoint")

@@ -142,10 +142,17 @@ def load_dataset(
 
     Feature cache files (.mfcc) are read directly; WAV files go through the
     full frontend (resampled when needed). Rows whose label sequence cannot
-    fit the frame count (2L+1 > T) are dropped here, never mid-epoch.
+    fit the frame count (2L+1 > T) are dropped here, never mid-epoch; each
+    drop is logged as it happens. A kept row whose feature dimension differs
+    from the first kept row's raises ValueError naming both files.
     """
     kept: list[Utterance] = []
     dropped: list[tuple[ManifestRow, str]] = []
+
+    def drop(row: ManifestRow, reason: str) -> None:
+        logger.warning("dropped %s: %s", row.audio, reason)
+        dropped.append((row, reason))
+
     for row in rows:
         path = Path(row.audio)
         try:
@@ -154,27 +161,27 @@ def load_dataset(
             else:
                 values, _ = wav_features(path, FeatureConfig())
         except (OSError, ValueError) as e:
-            dropped.append((row, f"unreadable audio: {e}"))
+            drop(row, f"unreadable audio: {e}")
             continue
 
         text = normalize_transcript(row.text, alphabet)
         if not text:
-            dropped.append((row, "empty transcript after normalization"))
+            drop(row, "empty transcript after normalization")
             continue
         labels = encode(text, alphabet)
         if min_frames_rule(len(labels)) > values.shape[0]:
-            dropped.append(
-                (row, f"label length {len(labels)} needs {min_frames_rule(len(labels))} frames, "
-                      f"got {values.shape[0]}")
-            )
+            drop(row, f"label length {len(labels)} needs {min_frames_rule(len(labels))} frames, "
+                 f"got {values.shape[0]}")
             continue
 
+        if not kept:
+            first = row
+        elif values.shape[1] != kept[0].features.shape[1]:
+            raise ValueError(f"{row.audio}: feature dim {values.shape[1]}, "
+                             f"but {first.audio} has {kept[0].features.shape[1]}")
         if normalize:
             values = feature_normalize(values)
         kept.append(Utterance(path.stem, text, labels, values))
-
-    for row, reason in dropped:
-        logger.warning("dropped %s: %s", row.audio, reason)
     return kept, dropped
 
 

@@ -405,6 +405,17 @@ class TestPrepare:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "feat").exists()
 
+    def test_feature_dir_without_synthetic_is_a_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(write_corpus(tmp_path / "src", TOY, 2, seed=1), manifest)
+        out = tmp_path / "o.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--alphabet", "kk", "--manifest", str(manifest), "--out", str(out),
+                  "--feature-dir", str(tmp_path / "feat")])
+        assert exc.value.code == 1
+        assert "--feature-dir is only for --synthetic" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "feat").exists()
+
     def test_missing_manifest_is_a_data_error(self, tmp_path):
         code = main(["prepare", "--alphabet", "ru", "--out", str(tmp_path / "o.jsonl"),
                      "--manifest", str(tmp_path / "none.jsonl")])
@@ -521,7 +532,54 @@ class TestFeatures:
         assert code == 2
         assert str(tmp_path / "spk1" / "001.wav") in err
         assert str(tmp_path / "spk2" / "001.wav") in err
-        assert not (out_dir / "001.mfcc").exists()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("spelling", ["feat/001.mfcc", "feat/../feat/001.mfcc"])
+    def test_listed_cache_a_wav_would_overwrite_is_a_data_error(self, tmp_path, capsys,
+                                                                 spelling):
+        # spk1's cache is listed; extracting spk2's newer 001.wav into the same
+        # out-dir would overwrite it and label spk2's audio with spk1's text
+        out_dir = tmp_path / "feat"
+        out_dir.mkdir()
+        for speaker, seconds in (("spk1", 1.0), ("spk2", 0.5)):
+            (tmp_path / speaker).mkdir()
+            sine_wav(tmp_path / speaker / "001.wav", seconds=seconds)
+        cache = out_dir / "001.mfcc"
+        write_feature_cache(wav_features(tmp_path / "spk1" / "001.wav", FeatureConfig())[0], cache)
+        newer = cache.stat().st_mtime + 10
+        os.utime(tmp_path / "spk2" / "001.wav", (newer, newer))
+        before = cache.read_bytes()
+        write_manifest([ManifestRow(str(tmp_path / spelling), "аб"),
+                        ManifestRow(str(tmp_path / "spk2" / "001.wav"), "ба")],
+                       tmp_path / "m.jsonl")
+        code = main(["features", "--manifest", str(tmp_path / "m.jsonl"),
+                     "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(tmp_path / spelling) in err and str(tmp_path / "spk2" / "001.wav") in err
+        assert cache.read_bytes() == before
+        assert not (out_dir / "manifest.jsonl").exists()
+
+    def test_cache_listed_twice_is_checked_and_counted_once(self, tmp_path, capsys, monkeypatch):
+        reads = []
+
+        def recorded(path):
+            reads.append(path)
+            return read_feature_cache(path)
+
+        monkeypatch.setattr(cli, "read_feature_cache", recorded)
+        (tmp_path / "a").mkdir()
+        write_feature_cache(np.zeros((30, 13)), tmp_path / "a" / "u.mfcc")
+        rows = [ManifestRow(str(tmp_path / "a" / "u.mfcc"), "аб"),
+                ManifestRow(str(tmp_path / "a" / ".." / "a" / "u.mfcc"), "ба")]
+        write_manifest(rows, tmp_path / "m.jsonl")
+        out_dir = tmp_path / "feat"
+        code, payload = run_json(capsys, ["features", "--manifest", str(tmp_path / "m.jsonl"),
+                                          "--out-dir", str(out_dir)])
+        assert code == 0
+        assert payload["written"] == 0 and payload["skipped"] == 1
+        assert len(reads) == 1
+        assert read_manifest(out_dir / "manifest.jsonl") == rows
 
     def test_same_wav_listed_twice_is_not_a_conflict(self, tmp_path, capsys):
         wav = tmp_path / "a.wav"
@@ -563,23 +621,27 @@ class TestFeatures:
             return wav_features(path, cfg)
 
         monkeypatch.setattr(cli, "wav_features", recorded)
-        rows = []
-        for i in range(6):
+        wavs = []
+        for i in reversed(range(6)):  # not in file-name order
             path = tmp_path / f"utt{i}.wav"
             if i % 2:
                 path.write_text("this is not audio")
             else:
                 sine_wav(path)
-            rows.append(ManifestRow(str(path), "аб"))
-        write_manifest(rows[::-1], tmp_path / "m.jsonl")  # not in file-name order
+            wavs.append(path)
+        good, refused = tmp_path / "good.mfcc", tmp_path / "refused.mfcc"
+        write_feature_cache(np.zeros((30, 13)), good)
+        refused.write_text("this is not a feature cache")
+        paths = [wavs[0], refused, *wavs[1:3], good, *wavs[3:]]
+        write_manifest([ManifestRow(str(p), "аб") for p in paths], tmp_path / "m.jsonl")
         code = main(["features", "--manifest", str(tmp_path / "m.jsonl"),
                      "--out-dir", str(tmp_path / "feat"), "--json"])
         out, err = capsys.readouterr()
         assert code == 2
         assert threads == [threading.current_thread()] * 6
-        bad = [str(tmp_path / f"utt{i}.wav") for i in (5, 3, 1)]  # manifest order
+        bad = [str(p) for p in (wavs[0], refused, wavs[2], wavs[4])]  # manifest order
         payload = json.loads(out)
-        assert payload["written"] == 3
+        assert payload["written"] == 3 and payload["skipped"] == 1
         assert [f["audio"] for f in payload["failed"]] == bad
         assert [line.split(": ")[1] for line in err.splitlines()] == [f"failed {p}" for p in bad]
 
@@ -694,6 +756,16 @@ class TestTrain:
         final = strict_json(capsys.readouterr().out)["final"]
         assert final["val_cost"] is None and final["val_ler"] is None
         assert (out / "metrics.csv").read_text().splitlines()[-1].endswith(",nan,nan")
+
+    @pytest.mark.parametrize("flags", [["--no-split", "--split", "0.5,0.25,0.25"],
+                                       ["--split", "0.5,0.25,0.25", "--no-split"]])
+    def test_no_split_excludes_split(self, tmp_path, toy_env, capsys, flags):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(train_argv(toy_env, out, *flags))
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_transfer_init_from_matching_checkpoint(self, tmp_path, toy_env, capsys):
         src = tmp_path / "src.ckpt"

@@ -396,6 +396,27 @@ class TestLoadDataset:
         assert not dropped
         assert kept[0].features.shape == (48, 13)  # 0.5 s at the target rate
 
+    def test_mixed_feature_dims_raise_at_the_first_differing_kept_row(self, tmp_path, toy, rng,
+                                                                       caplog):
+        def cache(name, dim):
+            write_feature_cache(rng.standard_normal((30, dim)), tmp_path / name)
+            return str(tmp_path / name)
+
+        rows = [
+            ManifestRow(cache("dropped_wide.mfcc", 15), "12345!"),  # dropped: not the first kept
+            ManifestRow(cache("first.mfcc", 13), "аб в"),
+            ManifestRow(str(tmp_path / "missing.mfcc"), "аб в"),
+            ManifestRow(cache("wide.mfcc", 15), "аб в"),
+            ManifestRow(cache("wider.mfcc", 17), "аб в"),
+        ]
+        caplog.set_level(logging.WARNING, logger="ctcx.trainer")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(rows, toy)
+        assert str(exc.value) == f"{rows[3].audio}: feature dim 15, but {rows[1].audio} has 13"
+        # the rows dropped before the refusal are logged all the same
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            f"dropped {rows[0].audio}", f"dropped {rows[2].audio}"]
+
 
 class TestTrain:
     def run(self, toy, tmp_path, name, epochs=3, val=True, seed=0):
